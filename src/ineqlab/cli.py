@@ -24,12 +24,13 @@ from .errors import (
     InvalidMeasure,
     TransformDomainError,
 )
-from .measures import MeasureSpec, atkinson, ge, inequality, parse_measure
-from .population import Dataset, group_by, grouped_columns, population_matrix
+from .measures import MeasureSpec, atkinson, inequality, parse_measure
+from .population import Dataset, grouped_columns, population_matrix
 from .shapley import game_synergy, shapley_values
 from .zonogon import canonical_chain
 
 log = logging.getLogger("ineqlab")
+log.addHandler(logging.NullHandler())
 
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -40,14 +41,14 @@ class InputError(click.ClickException):
 
 
 def _setup_logging() -> None:
+    """Set the level of the `ineqlab` logger only; other loggers in the
+    process are left as they are."""
     level = os.environ.get("INEQLAB_LOG", "off").lower()
     if level == "off":
-        logging.disable(logging.CRITICAL)
+        log.setLevel(logging.CRITICAL + 1)
         return
-    logging.basicConfig(
-        level=logging.DEBUG if level == "debug" else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    log.setLevel(logging.DEBUG if level == "debug" else logging.INFO)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
 
 def ingest(path: str, value_col: str) -> Dataset:

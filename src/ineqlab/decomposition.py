@@ -15,11 +15,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
-from .errors import DegeneratePopulation, InfiniteMeasure, InvalidMeasure, TooManyAttributes
+from .errors import InfiniteMeasure, InvalidMeasure, TooManyAttributes
 from .measures import MeasureSpec, atkinson_transform, ge, inequality
-from .population import Dataset, grouped_columns
+from .population import Dataset, WeightedColumns, _cells, grouped_columns, population_matrix
 from .zonogon import Zonogon, canonical_chain, meet_all
 
 MAX_ATTRIBUTES = 3
@@ -47,10 +45,6 @@ class LatticeNode:
         return all(any(set(s) <= set(t) for s in self.sources) for t in other.sources)
 
 
-def _precedes(alpha: LatticeNode, beta: LatticeNode) -> bool:
-    return alpha.precedes(beta)
-
-
 def redundancy_lattice(
     attrs: Sequence[str],
 ) -> tuple[list[LatticeNode], list[tuple[LatticeNode, LatticeNode]]]:
@@ -59,12 +53,14 @@ def redundancy_lattice(
     Returns the nodes (predecessors first) and the covering edges of the
     lattice order.
     """
-    nodes, covers = _lattice_cached(tuple(attrs))
+    nodes, covers, _ = _lattice_cached(tuple(attrs))
     return list(nodes), list(covers)
 
 
 @lru_cache(maxsize=64)
 def _lattice_cached(attrs: tuple[str, ...]):
+    """Nodes, covering edges, and each node's strict predecessors as
+    indices in node order."""
     attrs = list(attrs)
     if not 2 <= len(attrs) <= MAX_ATTRIBUTES:
         raise TooManyAttributes(
@@ -79,21 +75,20 @@ def _lattice_cached(attrs: tuple[str, ...]):
             if any(set(a) < set(b) or set(b) < set(a) for a, b in combinations(combo, 2)):
                 continue
             nodes.append(LatticeNode.of(*combo))
+    below = {n: [m for m in nodes if m != n and m.precedes(n)] for n in nodes}
     # strict predecessor counts grow along the order, so sorting by them is
     # a deterministic topological sort; the joint node ends up last
-    pred_count = {n: sum(m != n and _precedes(m, n) for m in nodes) for n in nodes}
-    nodes.sort(key=lambda n: (pred_count[n], n.sources))
-    covers = []
-    for a in nodes:
-        for b in nodes:
-            if a == b or not _precedes(a, b):
-                continue
-            between = any(
-                c != a and c != b and _precedes(a, c) and _precedes(c, b) for c in nodes
-            )
-            if not between:
-                covers.append((a, b))
-    return tuple(nodes), tuple(covers)
+    nodes.sort(key=lambda n: (len(below[n]), n.sources))
+    index = {n: i for i, n in enumerate(nodes)}
+    preds = tuple(tuple(sorted(index[m] for m in below[n])) for n in nodes)
+    # a covers b when a precedes b and precedes no other predecessor of b
+    covers = tuple(
+        (a, b)
+        for i, a in enumerate(nodes)
+        for j, b in enumerate(nodes)
+        if i in preds[j] and not any(i in preds[k] for k in preds[j])
+    )
+    return tuple(nodes), covers, preds
 
 
 @dataclass(frozen=True)
@@ -149,15 +144,22 @@ def cumulative(node: LatticeNode, pop: Dataset, spec: MeasureSpec) -> float:
     return inequality(z.to_columns(), spec)
 
 
-def _moebius(nodes: list[LatticeNode], cumulatives: dict[LatticeNode, float]) -> DecompositionResult:
-    partials: dict[LatticeNode, float] = {}
-    for beta in nodes:
-        below = sum(partials[alpha] for alpha in nodes if alpha != beta and _precedes(alpha, beta))
-        partials[beta] = cumulatives[beta] - below
-    total = cumulatives[nodes[-1]]
-    return DecompositionResult(
-        tuple((n, cumulatives[n], partials[n]) for n in nodes), total
-    )
+def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=None):
+    """Cumulative per node (through `transform`, if given), then a Moebius
+    pass: each partial is the cumulative minus its strict predecessors'
+    partials."""
+    nodes, _, preds = _lattice_cached(tuple(attrs))
+    cache: dict = {}
+    cumulatives = []
+    for node in nodes:
+        value = inequality(_node_zonogon(pop, node, cache).to_columns(), spec)
+        if math.isinf(value):
+            raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
+        cumulatives.append(value if transform is None else transform(value))
+    partials: list[float] = []
+    for cum, below in zip(cumulatives, preds):
+        partials.append(cum - sum(partials[i] for i in below))
+    return DecompositionResult(tuple(zip(nodes, cumulatives, partials)), cumulatives[-1])
 
 
 def decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> DecompositionResult:
@@ -170,15 +172,7 @@ def decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> Decompos
     have negative partials; for two attributes the synergetic partial is
     at least I(join) - I(max) (see `DecompositionResult.named`).
     """
-    nodes, _ = redundancy_lattice(attrs)
-    cache: dict = {}
-    cumulatives = {}
-    for node in nodes:
-        value = inequality(_node_zonogon(pop, node, cache).to_columns(), spec)
-        if math.isinf(value):
-            raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
-        cumulatives[node] = value
-    return _moebius(nodes, cumulatives)
+    return _decompose(pop, attrs, spec)
 
 
 def atkinson_decompose(pop: Dataset, attrs: Sequence[str], eps: float) -> DecompositionResult:
@@ -190,16 +184,7 @@ def atkinson_decompose(pop: Dataset, attrs: Sequence[str], eps: float) -> Decomp
     """
     if eps <= 0:
         raise InvalidMeasure("atkinson requires eps > 0")
-    spec = MeasureSpec(ge(1.0 - eps))
-    nodes, _ = redundancy_lattice(attrs)
-    cache: dict = {}
-    cumulatives = {}
-    for node in nodes:
-        value = inequality(_node_zonogon(pop, node, cache).to_columns(), spec)
-        if math.isinf(value):
-            raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
-        cumulatives[node] = atkinson_transform(value, eps)
-    return _moebius(nodes, cumulatives)
+    return _decompose(pop, attrs, MeasureSpec(ge(1.0 - eps)), lambda v: atkinson_transform(v, eps))
 
 
 @dataclass(frozen=True)
@@ -217,47 +202,22 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     between + sum(w_g * within_g) equals the total GE_c.
     """
     spec = MeasureSpec(ge(c))
-    cols, groups = _grouped_with_keys(pop, attr)
+    codes, keys, counts, sums = _cells(pop, [attr])
+    cols = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
     between = inequality(cols, spec)
-    total = inequality(_population_columns(pop), spec)
+    total = inequality(population_matrix(pop), spec)
     within = []
     recon = between
-    for key, pshare, ishare, sub in groups:
+    for g, key in enumerate(keys):
+        pshare, ishare = cols.weights[g], cols.shares[g]
         if ishare == 0:
-            # a zero-income group is internally uniform at zero
-            value = 0.0
-            weight = 0.0 if c > 0 else math.inf
-        else:
-            value = inequality(_population_columns(sub), spec)
-            weight = pshare ** (1.0 - c) * ishare**c
+            # a zero-income group is internally uniform at zero: its value
+            # is 0, so it adds nothing to the reconstruction (inf * 0 would
+            # make it NaN when c <= 0)
+            within.append((key, 0.0 if c > 0 else math.inf, 0.0))
+            continue
+        weight = pshare ** (1.0 - c) * ishare**c
+        value = inequality(population_matrix(Dataset(pop.indicators[codes == g])), spec)
         within.append((key, weight, value))
         recon += weight * value
     return SubgroupResult(between, tuple(within), recon, total)
-
-
-def _population_columns(pop: Dataset):
-    from .population import population_matrix
-
-    return population_matrix(pop)
-
-
-def _grouped_with_keys(pop: Dataset, attr: str):
-    from .population import _group_codes, _ordered_attrs
-
-    attrs = _ordered_attrs(pop, [attr])
-    codes, keys = _group_codes(pop, attrs)
-    n = len(pop)
-    total = pop.indicators.sum()
-    if total <= 0:
-        raise DegeneratePopulation("population mean is zero")
-    counts = np.bincount(codes, minlength=len(keys)).astype(float)
-    sums = np.bincount(codes, weights=pop.indicators, minlength=len(keys))
-    cols = grouped_columns(pop, attrs)
-    out = []
-    for g, key in enumerate(keys):
-        mask = codes == g
-        sub = None
-        if sums[g] > 0:
-            sub = Dataset(pop.indicators[mask], {}, ())
-        out.append((key, counts[g] / n, sums[g] / total, sub))
-    return cols, out

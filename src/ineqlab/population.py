@@ -36,6 +36,7 @@ class Dataset:
 
     Invariants: non-empty, all indicators finite and non-negative, at least
     one indicator strictly positive, every record carries the same attributes.
+    Attribute columns are read-only copies, encoded on first grouping.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -50,11 +51,13 @@ class Dataset:
             raise DegeneratePopulation("all indicator values are zero")
         attributes = {} if attributes is None else dict(attributes)
         for name, col in attributes.items():
-            col = np.asarray(col, dtype=object)
+            # an own read-only copy, so the cached codes cannot go stale
+            col = np.array(col, dtype=object)
             if col.shape != ind.shape:
                 raise UnknownAttribute(
                     f"attribute {name!r} has {col.size} values for {ind.size} records"
                 )
+            col.flags.writeable = False
             attributes[name] = col
         if attribute_names is None:
             attribute_names = tuple(attributes)
@@ -65,6 +68,7 @@ class Dataset:
         self.indicators = ind
         self.attributes = attributes
         self.attribute_names = attribute_names
+        self._encoded: dict[str, tuple[list[str], np.ndarray]] = {}
 
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> "Dataset":
@@ -93,6 +97,17 @@ class Dataset:
 
     def scaled(self, k: float) -> "Dataset":
         return Dataset(self.indicators * k, self.attributes, self.attribute_names)
+
+    def _encode(self, attr: str) -> tuple[list[str], np.ndarray]:
+        """Sorted string levels of an attribute and each record's level code.
+
+        Encoded on first use and kept; codes take the smallest unsigned
+        dtype that holds the level count.
+        """
+        if attr not in self._encoded:
+            levels, codes = np.unique(self.attributes[attr].astype(str), return_inverse=True)
+            self._encoded[attr] = levels.tolist(), codes.astype(np.min_scalar_type(len(levels)))
+        return self._encoded[attr]
 
 
 class WeightedColumns:
@@ -133,41 +148,38 @@ def bottom() -> WeightedColumns:
     return WeightedColumns([1.0], [1.0])
 
 
-def _group_codes(pop: Dataset, attrs: Sequence[str]) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Integer group code per record and the sorted list of joint keys."""
-    for a in attrs:
-        if a not in pop.attributes:
-            raise UnknownAttribute(f"unknown attribute {a!r}")
-    if not attrs:
-        return np.zeros(len(pop), dtype=np.intp), [()]
-    # Mixed-radix combination of per-attribute codes; first attribute is the
-    # most significant digit, so group order is lexicographic by joint key.
+def _cells(
+    pop: Dataset, attrs: Iterable[str]
+) -> tuple[np.ndarray, list[tuple[str, ...]], np.ndarray, np.ndarray]:
+    """Non-empty joint cells of the attributes, taken in the Dataset's order.
+
+    Returns each record's cell index, the cells' joint keys (sorted
+    lexicographically), and each cell's record count and indicator sum.
+    No attributes give the single cell ().
+    """
+    encoded = [pop._encode(a) for a in _ordered_attrs(pop, attrs)]
+    # mixed-radix combination of per-attribute codes; the first attribute is
+    # the most significant digit, so cell order is lexicographic by key
     combined = np.zeros(len(pop), dtype=np.int64)
-    levels = []
-    for a in attrs:
-        uniq, codes = np.unique(pop.attributes[a].astype(str), return_inverse=True)
-        combined = combined * len(uniq) + codes
-        levels.append(uniq)
-    uniq_codes, codes = np.unique(combined, return_inverse=True)
+    for levels, codes in encoded:
+        combined = combined * len(levels) + codes
+    cells, codes = np.unique(combined, return_inverse=True)
     keys = []
-    for code in uniq_codes.tolist():
+    for cell in cells.tolist():
         digits = []
-        for uniq in reversed(levels):
-            code, d = divmod(code, len(uniq))
-            digits.append(str(uniq[d]))
+        for levels, _ in reversed(encoded):
+            cell, d = divmod(cell, len(levels))
+            digits.append(levels[d])
         keys.append(tuple(reversed(digits)))
-    return codes, keys
+    counts = np.bincount(codes, minlength=len(keys))
+    sums = np.bincount(codes, weights=pop.indicators, minlength=len(keys))
+    return codes, keys, counts, sums
 
 
 def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:
     """Between-group columns only (no sub-datasets); used on hot paths."""
-    attrs = _ordered_attrs(pop, attrs)
-    codes, keys = _group_codes(pop, attrs)
-    n = len(pop)
-    counts = np.bincount(codes, minlength=len(keys)).astype(float)
-    sums = np.bincount(codes, weights=pop.indicators, minlength=len(keys))
-    total = pop.indicators.sum()
-    return WeightedColumns(counts / n, sums / total)
+    _, _, counts, sums = _cells(pop, attrs)
+    return WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
 
 
 def _ordered_attrs(pop: Dataset, attrs: Iterable[str]) -> tuple[str, ...]:
@@ -187,9 +199,8 @@ def group_by(
     indicator total) and each group's sub-dataset, ordered lexicographically
     by joint key. Grouping by no attributes yields the single column (1,1).
     """
-    attrs = _ordered_attrs(pop, attrs)
-    codes, keys = _group_codes(pop, attrs)
-    cols = grouped_columns(pop, attrs)
+    codes, keys, counts, sums = _cells(pop, attrs)
+    cols = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
     groups = []
     for g, key in enumerate(keys):
         mask = codes == g

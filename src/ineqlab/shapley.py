@@ -16,7 +16,6 @@ from typing import Sequence
 from .errors import TooManyAttributes
 from .measures import MeasureSpec, inequality
 from .population import Dataset, grouped_columns
-from .zonogon import canonical_chain
 
 MAX_PLAYERS = 10
 

@@ -159,7 +159,13 @@ def meet(z1: Zonogon, z2: Zonogon) -> Zonogon:
     points = points[distinct]
     if points[0, 1] > 0:  # both chains start with a vertical edge
         points = np.vstack([[0.0, 0.0], points])
-    return Zonogon(_prune_collinear(points))
+    points = _prune_collinear(points)
+    # differencing vertices turns an exact zero into a residue of either
+    # sign (up to ten ulps seen, where a crossing lands next to a vertex);
+    # snap it back like the x gaps above, so zero shares stay zero
+    edges = np.diff(points, axis=0)
+    edges[np.abs(edges) <= MERGE_TOL] = 0.0
+    return Zonogon(points, generators=edges)
 
 
 def meet_all(zonogons: list[Zonogon]) -> Zonogon:

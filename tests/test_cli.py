@@ -1,6 +1,7 @@
 """CLI commands: ingestion, output formats, schemas, exit codes."""
 
 import json
+import logging
 from importlib import resources
 
 import pytest
@@ -136,6 +137,40 @@ def test_subgroup_output(runner, tmp_path):
     assert payload["between"] == pytest.approx(0.056633)
     assert payload["reconstruction"] == pytest.approx(0.187445)
     assert payload["total"] == pytest.approx(0.187445)
+
+
+def test_subgroup_zero_income_group_mld_is_infinite(runner, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("income,region\n0,r1\n0,r1\n3,r2\n5,r2\n")
+    res = invoke(
+        runner,
+        ["subgroup", "-i", str(p), "--value-col", "income", "--group-by", "region",
+         "--measure", "mld"],
+    )
+    assert res.exit_code == 0
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    payload = json.loads(res.output, parse_constant=reject)
+    validate(payload, schema("subgroup"))
+    assert payload["reconstruction"] == payload["total"] == "inf"
+    assert payload["within"][0] == {"group": "r1", "weight": "inf", "value": 0.0}
+
+
+def test_logging_off_leaves_other_loggers_alone(runner, xor_file, monkeypatch):
+    monkeypatch.delenv("INEQLAB_LOG", raising=False)
+    invoke(runner, ["measure", "-i", xor_file, "--value-col", "income"])
+    assert logging.root.manager.disable == 0
+    assert not logging.getLogger("ineqlab").isEnabledFor(logging.CRITICAL)
+    assert logging.getLogger("elsewhere").isEnabledFor(logging.WARNING)
+
+
+def test_logging_info_reaches_handlers(runner, xor_file, monkeypatch, caplog):
+    monkeypatch.setenv("INEQLAB_LOG", "info")
+    with caplog.at_level(logging.INFO, logger="ineqlab"):
+        invoke(runner, ["measure", "-i", xor_file, "--value-col", "income"])
+    assert "measure theil" in caplog.text
 
 
 def test_ingest_negative_value_exit_2(runner, tmp_path):

@@ -93,6 +93,23 @@ def test_group_by_unknown_attribute(d_xor):
         group_by(d_xor, {"C"})
 
 
+def test_group_by_integer_levels_in_string_order():
+    d = Dataset([1, 2, 3, 4], {"age": [9, 10, 9, 2]}, ["age"])
+    cols, groups = group_by(d, {"age"})
+    assert [k for k, _ in groups] == [("10",), ("2",), ("9",)]
+    assert cols.pairs() == [(0.25, 0.2), (0.25, 0.4), (0.5, 0.4)]
+
+
+def test_attribute_columns_are_read_only_copies():
+    labels = np.array(["a", "a", "b", "b"], dtype=object)
+    d = Dataset([1, 1, 3, 3], {"A": labels}, ["A"])
+    cols, _ = group_by(d, {"A"})  # encodes A
+    labels[:] = "a"
+    assert group_by(d, {"A"})[0].pairs() == cols.pairs() == [(0.5, 0.25), (0.5, 0.75)]
+    with pytest.raises(ValueError):
+        d.attributes["A"][0] = "b"
+
+
 def test_weighted_columns_validation():
     with pytest.raises(ValueError):
         WeightedColumns([0.5, 0.4], [0.5, 0.5])

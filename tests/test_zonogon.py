@@ -9,15 +9,23 @@ from hypothesis import strategies as st
 
 from ineqlab import (
     Dataset,
+    LatticeNode,
+    MeasureSpec,
     OrderRelation,
     WeightedColumns,
     Zonogon,
     bottom,
     canonical_chain,
+    cumulative,
+    decompose,
+    grouped_columns,
+    inequality,
     meet,
     minkowski_sum,
+    mld,
     order,
     population_matrix,
+    theil,
 )
 from conftest import chain_value, random_dataset, upper_hull
 
@@ -166,6 +174,65 @@ def test_meet_absorption():
     small = chain_of([1.5, 2.5])
     big = chain_of([1, 3])
     assert order(meet(small, big), small) is OrderRelation.EQUAL
+
+
+# A seeded random population (74 rows, 11 zero incomes, attributes of 5, 5
+# and 4 levels). Differencing the vertices of a meet left an edge a few ulps
+# below zero, and Theil `decompose` raised NegativeComponent.
+ULP_VALUES = [
+    5.914468514039799, 0.6085561048368002, 0.29931842817395554, 2.967540927197827,
+    0.052579907912910506, 0.14733466875408188, 0.12109213966705655, 4.0174705369918025,
+    0.0, 0.12811447183376318, 3.112603237495331, 0.3293109519955484,
+    0.5094045104715891, 0.45217230369457034, 12.30743645526132, 0.5004950560988856,
+    0.7472044243091751, 0.4261585816549304, 2.6129339704874535, 3.3892349137479445,
+    0.6456134285804372, 0.3006002892554432, 0.7933197349326814, 2.1228480517554384,
+    1.7205961900589342, 0.3638756713599493, 0.2736920490409908, 1.4306614513388374,
+    1.4605430318766774, 0.9796245968752495, 0.19182485330343274, 4.861474211787496,
+    2.022859859335068, 0.38396092104908813, 1.1513057214817743, 0.0,
+    0.7520702560215682, 1.286631908971068, 0.0, 1.7420750020593183,
+    0.1616378226668035, 0.49095194907955925, 0.357872906959616, 2.2439434782626586,
+    0.0, 0.3703979449582619, 0.58515182592958, 0.0,
+    0.2125266092490391, 0.0, 9.481958075261366, 5.456790928934794,
+    0.7562680399368862, 4.400123363210821, 1.1725752334020922, 0.3406547709512056,
+    0.0, 0.22429339908723164, 0.0, 0.5776625125066073,
+    4.228207825998051, 0.5796933802349122, 0.0, 1.5163308262819948,
+    0.0, 1.8260704875129696, 4.5949301184069125, 0.639712938911822,
+    0.0, 0.5721361936034638, 3.4800541720920135, 0.7469281132845249,
+    2.1879457856299145, 0.37210644316284197,
+]
+# the level of A, B and C per row
+ULP_CODES = (
+    "140 410 310 002 033 121 020 212 011 142 430 110 410 001 141 440 401 122 120 131 "
+    "201 023 032 203 002 313 310 101 441 041 011 200 340 441 003 243 322 043 420 113 "
+    "012 322 313 223 233 210 023 423 343 233 130 243 423 021 333 212 341 110 131 442 "
+    "242 243 442 410 141 243 342 343 042 402 130 202 432 223"
+).split()
+
+
+def test_meet_leaves_no_ulp_residue():
+    attrs = {a: [f"{a.lower()}{row[j]}" for row in ULP_CODES] for j, a in enumerate("ABC")}
+    d = Dataset(ULP_VALUES, attrs, ["A", "B", "C"])
+    spec = MeasureSpec(theil())
+    result = decompose(d, ["A", "B", "C"], spec)
+    assert sum(part for _, _, part in result.nodes) == pytest.approx(result.total, abs=1e-12)
+    assert result.total == pytest.approx(inequality(grouped_columns(d, ["A", "B", "C"]), spec), abs=1e-12)
+    chains = {a: canonical_chain(grouped_columns(d, [a])) for a in "ABC"}
+    for z1, z2 in product(chains.values(), repeat=2):
+        assert np.all(meet(z1, z2).edges >= 0)
+
+
+@pytest.mark.parametrize("values, a, b", [
+    # the last edge of the meet came out with a 2-ulp share
+    ([0.0, 5.0, 2.0, 1.0, 0.0], ["a2", "a0", "a1", "a0", "a2"], ["b2", "b0", "b0", "b0", "b1"]),
+    # a crossing inserted next to a vertex: a 10-ulp share
+    ([2.0, 0.0, 0.0, 3.0, 0.0], ["a2", "a0", "a2", "a2", "a0"], ["b2", "b1", "b1", "b0", "b0"]),
+])
+def test_meet_of_infinite_mld_sources_stays_infinite(values, a, b):
+    d = Dataset(values, {"A": a, "B": b}, ["A", "B"])
+    spec = MeasureSpec(mld())
+    assert inequality(grouped_columns(d, ["A"]), spec) == np.inf
+    assert inequality(grouped_columns(d, ["B"]), spec) == np.inf
+    assert cumulative(LatticeNode.of(("A",), ("B",)), d, spec) == np.inf
 
 
 def test_minkowski_single_and_bottom():
