@@ -63,6 +63,9 @@ def ingest(path: str, value_col: str) -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise InputError("empty dataset") from None
+            for i, h in enumerate(header):
+                if h in header[:i]:
+                    raise InputError(f"header repeats column {h!r}")
             if value_col not in header:
                 raise InputError(f"missing value column {value_col!r}")
             vi = header.index(value_col)
@@ -153,7 +156,9 @@ measure_opt = click.option("--measure", "measure_str", default="theil", show_def
 format_opt = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
 )
-precision_opt = click.option("--precision", type=int, default=6, show_default=True)
+precision_opt = click.option(
+    "--precision", type=click.IntRange(min=0), default=6, show_default=True
+)
 
 
 @click.group()

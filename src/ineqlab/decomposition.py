@@ -17,7 +17,14 @@ from typing import Sequence
 
 from .errors import InfiniteMeasure, InvalidMeasure, TooManyAttributes
 from .measures import MeasureSpec, atkinson_transform, ge, inequality
-from .population import Dataset, WeightedColumns, _cells, grouped_columns, population_matrix
+from .population import (
+    Dataset,
+    WeightedColumns,
+    _cells,
+    _check_distinct,
+    grouped_columns,
+    population_matrix,
+)
 from .zonogon import Zonogon, canonical_chain, meet_all
 
 MAX_ATTRIBUTES = 3
@@ -66,6 +73,7 @@ def _lattice_cached(attrs: tuple[str, ...]):
         raise TooManyAttributes(
             f"decomposition supports 2..{MAX_ATTRIBUTES} attributes, got {len(attrs)}"
         )
+    _check_distinct(attrs)
     subsets = [
         tuple(sorted(c)) for r in range(1, len(attrs) + 1) for c in combinations(attrs, r)
     ]
@@ -150,6 +158,9 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
     partials."""
     nodes, _, preds = _lattice_cached(tuple(attrs))
     cache: dict = {}
+    # the joint source (the last node's) first, so the Dataset builds its
+    # cell table over all the attributes once
+    _source_zonogon(pop, nodes[-1].sources[0], cache)
     cumulatives = []
     for node in nodes:
         value = inequality(_node_zonogon(pop, node, cache).to_columns(), spec)

@@ -36,7 +36,9 @@ class Dataset:
 
     Invariants: non-empty, all indicators finite and non-negative, at least
     one indicator strictly positive, every record carries the same attributes.
-    Attribute columns are read-only copies, encoded on first grouping.
+    Attribute columns are read-only copies, encoded on first grouping; the
+    joint cell table of the last grouping that needed a new one is kept
+    with them.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -69,6 +71,7 @@ class Dataset:
         self.attributes = attributes
         self.attribute_names = attribute_names
         self._encoded: dict[str, tuple[list[str], np.ndarray]] = {}
+        self._table: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> "Dataset":
@@ -109,6 +112,28 @@ class Dataset:
             self._encoded[attr] = levels.tolist(), codes.astype(np.min_scalar_type(len(levels)))
         return self._encoded[attr]
 
+    def _joint(self, attrs: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Joint cell table of a grouping by `attrs` (in Dataset order).
+
+        Returns the table's attributes, each record's cell index (smallest
+        unsigned dtype) and each cell's level code per attribute (one row
+        per attribute). The table is kept; a grouping whose attributes are
+        not all in it replaces it with a table over that grouping's
+        attributes only, built with one `np.unique` over the records, so no
+        code is wider than one grouping and only grouped attributes are
+        ever encoded.
+        """
+        if self._table is None or not set(attrs) <= set(self._table[0]):
+            encoded = [self._encode(a) for a in attrs]
+            combined = np.zeros(len(self), dtype=np.int64)
+            for levels, codes in encoded:
+                combined = combined * len(levels) + codes
+            cells, index = np.unique(combined, return_inverse=True)
+            digits = np.empty((len(attrs), len(cells)), dtype=np.int64)
+            for row in reversed(range(len(attrs))):
+                cells, digits[row] = np.divmod(cells, len(encoded[row][0]))
+            self._table = attrs, index.astype(np.min_scalar_type(digits.shape[1])), digits
+        return self._table
 
 class WeightedColumns:
     """Normalized (weight, share) columns; both rows sum to one."""
@@ -155,15 +180,21 @@ def _cells(
 
     Returns each record's cell index, the cells' joint keys (sorted
     lexicographically), and each cell's record count and indicator sum.
-    No attributes give the single cell ().
+    No attributes give the single cell (). The cells are projected from the
+    Dataset's joint cell table; counts and sums are taken over the records
+    in record order, so every sum adds the same floats in the same order
+    whatever the table holds.
     """
-    encoded = [pop._encode(a) for a in _ordered_attrs(pop, attrs)]
-    # mixed-radix combination of per-attribute codes; the first attribute is
-    # the most significant digit, so cell order is lexicographic by key
-    combined = np.zeros(len(pop), dtype=np.int64)
-    for levels, codes in encoded:
-        combined = combined * len(levels) + codes
-    cells, codes = np.unique(combined, return_inverse=True)
+    attrs = _ordered_attrs(pop, attrs)
+    table_attrs, index, cell_digits = pop._joint(attrs)
+    encoded = [pop._encode(a) for a in attrs]
+    # mixed-radix combination of the table cells' digits; the first attribute
+    # is the most significant digit, so cell order is lexicographic by key
+    combined = np.zeros(cell_digits.shape[1], dtype=np.int64)
+    for a, (levels, _) in zip(attrs, encoded):
+        combined = combined * len(levels) + cell_digits[table_attrs.index(a)]
+    cells, cell_codes = np.unique(combined, return_inverse=True)
+    codes = cell_codes[index]
     keys = []
     for cell in cells.tolist():
         digits = []
@@ -188,6 +219,13 @@ def _ordered_attrs(pop: Dataset, attrs: Iterable[str]) -> tuple[str, ...]:
         if a not in pop.attributes:
             raise UnknownAttribute(f"unknown attribute {a!r}")
     return tuple(a for a in pop.attribute_names if a in attrs)
+
+
+def _check_distinct(attrs: Sequence[str]) -> None:
+    """Reject an attribute named twice in an attribute list."""
+    for i, a in enumerate(attrs):
+        if a in attrs[:i]:
+            raise UnknownAttribute(f"attribute {a!r} is repeated")
 
 
 def group_by(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import TooManyAttributes
 from .measures import MeasureSpec, inequality
-from .population import Dataset, grouped_columns
+from .population import Dataset, _check_distinct, grouped_columns
 
 MAX_PLAYERS = 10
 
@@ -29,7 +29,9 @@ def game_value(pop: Dataset, coalition: Sequence[str], spec: MeasureSpec) -> flo
 
 def _all_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict:
     values = {(): 0.0}
-    for r in range(1, len(attrs) + 1):
+    # the grand coalition first, so the Dataset builds its cell table over
+    # all the attributes once
+    for r in reversed(range(1, len(attrs) + 1)):
         for coalition in combinations(attrs, r):
             values[coalition] = game_value(pop, coalition, spec)
     return values
@@ -42,6 +44,7 @@ def shapley_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dic
     grand-coalition value) holds by construction.
     """
     attrs = list(attrs)
+    _check_distinct(attrs)
     n = len(attrs)
     if n > MAX_PLAYERS:
         raise TooManyAttributes(f"exact enumeration supports up to {MAX_PLAYERS} attributes")

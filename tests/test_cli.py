@@ -251,3 +251,31 @@ def test_precision_flag(runner, xor_file):
         ["measure", "-i", xor_file, "--value-col", "income", "--precision", "2"],
     )
     assert json.loads(res.output)["value"] == 0.13
+
+
+@pytest.mark.parametrize("command", ["decompose", "shapley"])
+def test_repeated_attribute_exit_2(runner, xor_file, command):
+    res = runner.invoke(
+        main, [command, "-i", xor_file, "--value-col", "income", "--attrs", "region,region"]
+    )
+    assert res.exit_code == 2
+    assert "'region' is repeated" in res.output
+
+
+@pytest.mark.parametrize("command", ["measure", "lorenz"])
+def test_negative_precision_exit_2(runner, xor_file, command):
+    res = runner.invoke(
+        main, [command, "-i", xor_file, "--value-col", "income", "--precision", "-1"]
+    )
+    assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "header, repeated", [("income,A,income", "income"), ("income,A,A", "A")]
+)
+def test_ingest_repeated_column_exit_2(runner, tmp_path, header, repeated):
+    p = tmp_path / "d.csv"
+    p.write_text(header + "\n1,a,2\n3,b,4\n")
+    res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
+    assert res.exit_code == 2
+    assert f"header repeats column {repeated!r}" in res.output

@@ -1,23 +1,35 @@
 """Population matrices, grouping and their invariances."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ineqlab import (
     Dataset,
     DegeneratePopulation,
     EmptyPopulation,
+    MeasureSpec,
     NegativeComponent,
     Record,
     UnknownAttribute,
     WeightedColumns,
     bottom,
     canonical_chain,
+    decompose,
+    game_synergy,
     group_by,
+    grouped_columns,
     order,
     OrderRelation,
     population_matrix,
+    shapley_values,
+    subgroup_decompose,
+    theil,
 )
+from ineqlab.population import _cells
 from conftest import random_dataset
 
 
@@ -156,3 +168,116 @@ def test_refinement_coarsening(rng):
         z1 = canonical_chain(group_by(d, {"A"})[0])
         z2 = canonical_chain(group_by(d, {"A", "B"})[0])
         assert order(z1, z2) in (OrderRelation.EQUAL, OrderRelation.STRICTLY_BELOW)
+
+
+def grouped_by_records(d, subset):
+    """Per-record grouping by string keys, independent of the cell table:
+    each record's group index, the sorted keys, counts, and sums added in
+    record order."""
+    names = [a for a in d.attribute_names if a in subset]
+    record_keys = [tuple(str(d.attributes[a][i]) for a in names) for i in range(len(d))]
+    keys = sorted(set(record_keys))
+    codes = [keys.index(k) for k in record_keys]
+    counts = [0] * len(keys)
+    sums = [0.0] * len(keys)
+    for g, x in zip(codes, d.indicators.tolist()):
+        counts[g] += 1
+        sums[g] += x
+    return codes, keys, counts, sums
+
+
+@st.composite
+def datasets_with_subset_orders(draw):
+    n = draw(st.integers(1, 30))
+    names = ["A", "B", "C", "D"][: draw(st.integers(1, 4))]
+    attrs = {}
+    for name in names:
+        # integer levels, so string order ("10" < "9") differs from numeric
+        # order; a pool of one level gives a single-level attribute
+        pool = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True))
+        attrs[name] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    values = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.001, 1000.0)), min_size=n, max_size=n)
+    )
+    assume(any(v > 0 for v in values))
+    d = Dataset(values, attrs, draw(st.permutations(names)))
+    subsets = [c for r in range(len(names) + 1) for c in combinations(names, r)]
+    # the order of the groupings decides which cell table each is projected from
+    return d, draw(st.permutations(subsets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(datasets_with_subset_orders())
+def test_cells_match_a_per_record_grouping(case):
+    d, subsets = case
+    for subset in subsets:
+        codes, keys, counts, sums = _cells(d, subset[::-1])
+        exp_codes, exp_keys, exp_counts, exp_sums = grouped_by_records(d, subset)
+        assert codes.tolist() == exp_codes
+        assert keys == exp_keys
+        assert counts.tolist() == exp_counts
+        assert sums.tolist() == exp_sums
+
+
+def test_one_attribute_groupings_of_many_attributes():
+    """Twenty 10-level attributes grouped one at a time: each table covers
+    only its grouping, so no joint code spans all the attributes (10**20
+    would pass 2**63)."""
+    rng = np.random.default_rng(5)
+    n = 200
+    names = [f"X{j:02d}" for j in range(20)]
+    attrs = {name: rng.integers(0, 10, n) for name in names}
+    d = Dataset(rng.uniform(0.0, 5.0, n), attrs, names)
+    for name in names + names[::-1]:
+        codes, keys, counts, sums = _cells(d, [name])
+        exp_codes, exp_keys, exp_counts, exp_sums = grouped_by_records(d, [name])
+        assert codes.tolist() == exp_codes
+        assert keys == exp_keys
+        assert counts.tolist() == exp_counts
+        assert sums.tolist() == exp_sums
+
+
+def three_attribute_dataset(n=500, seed=3):
+    rng = np.random.default_rng(seed)
+    attrs = {name: rng.choice([f"{name}{j}" for j in range(3)], n) for name in "ABC"}
+    return Dataset(rng.uniform(0.1, 10.0, n), attrs, ["A", "B", "C"])
+
+
+@pytest.mark.parametrize(
+    "group",
+    [lambda d: grouped_columns(d, ["A"]), lambda d: subgroup_decompose(d, "A", 2.0)],
+    ids=["grouped_columns", "subgroup_decompose"],
+)
+def test_grouping_encodes_only_grouped_attributes(group):
+    d = three_attribute_dataset()
+    group(d)
+    assert list(d._encoded) == ["A"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda d, spec: decompose(d, ["A", "B", "C"], spec),
+        lambda d, spec: (
+            shapley_values(d, ["A", "B", "C"], spec),
+            [game_synergy(d, a, b, spec) for a, b in combinations("ABC", 2)],
+        ),
+    ],
+    ids=["decompose", "shapley"],
+)
+def test_three_attributes_sort_the_records_once(run, monkeypatch):
+    """One sort of the records' integer joint codes builds the cell table;
+    every grouping after it is projected from the table's cells."""
+    d = three_attribute_dataset()
+    sorts = []
+    unique = np.unique
+
+    def counting_unique(ar, *args, **kwargs):
+        ar = np.asarray(ar)
+        if ar.size == len(d) and ar.dtype.kind in "iu":
+            sorts.append(ar.size)
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    run(d, MeasureSpec(theil()))
+    assert len(sorts) == 1
