@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from functools import wraps
+from itertools import combinations
 
 import click
 
@@ -114,7 +115,7 @@ def _round(value: float, precision: int):
     return round(value + 0.0, precision)
 
 
-def _emit(payload: dict, fmt: str, precision: int) -> None:
+def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(payload, indent=2))
     else:
@@ -183,7 +184,7 @@ def cmd_measure(path, value_col, measure_str, fmt, precision):
     else:
         value = inequality(population_matrix(pop), parsed)
     log.info("measure %s = %s", measure_str, value)
-    _emit({"measure": measure_str, "value": _round(value, precision)}, fmt, precision)
+    _emit({"measure": measure_str, "value": _round(value, precision)}, fmt)
 
 
 @main.command("lorenz")
@@ -245,7 +246,7 @@ def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
         }
         for node, cum, part in result.nodes
     ]
-    _emit(payload, fmt, precision)
+    _emit(payload, fmt)
 
 
 @main.command("shapley")
@@ -266,14 +267,14 @@ def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
     phi = shapley_values(pop, attrs, parsed)
     interactions = {
         f"{a}|{b}": _round(game_synergy(pop, a, b, parsed), precision)
-        for a, b in _pairs(attrs)
+        for a, b in combinations(attrs, 2)
     }
     payload = {
         "values": {a: _round(v, precision) for a, v in phi.items()},
         "efficiency_check": _round(sum(phi.values()), precision),
         "interactions": interactions,
     }
-    _emit(payload, fmt, precision)
+    _emit(payload, fmt)
 
 
 @main.command("subgroup")
@@ -305,26 +306,15 @@ def cmd_subgroup(path, value_col, measure_str, group_attr, fmt, precision):
         "reconstruction": _round(result.reconstruction, precision),
         "total": _round(result.total, precision),
     }
-    _emit(payload, fmt, precision)
+    _emit(payload, fmt)
 
 
 def _ge_parameter(spec: MeasureSpec) -> float:
     if spec.p != 0:
         raise InvalidMeasure("subgroup decomposition requires p = 0")
-    name = spec.f.name
-    if name == "theil":
-        return 1.0
-    if name == "mld":
-        return 0.0
-    if name.startswith("ge:"):
-        return float(name.split(":", 1)[1])
-    raise InvalidMeasure("subgroup decomposition is defined for the GE family")
-
-
-def _pairs(attrs):
-    for i, a in enumerate(attrs):
-        for b in attrs[i + 1 :]:
-            yield a, b
+    if spec.f.c is None:
+        raise InvalidMeasure("subgroup decomposition is defined for the GE family")
+    return spec.f.c
 
 
 if __name__ == "__main__":

@@ -32,7 +32,9 @@ class Generator:
 
     ``at_zero`` is lim f(t) for t -> 0+ and ``tail_slope`` is
     lim f(t)/t for t -> inf; both may be infinite and close the measure
-    over zero-weight and zero-share columns.
+    over zero-weight and zero-share columns. ``c`` is the Generalized
+    Entropy parameter of a GE-family generator (1 for Theil, 0 for MLD)
+    and None for any other.
     """
 
     name: str
@@ -40,6 +42,7 @@ class Generator:
     strictly_convex: bool
     at_zero: float
     tail_slope: float
+    c: float | None = None
 
     def __call__(self, t):
         scalar = np.ndim(t) == 0
@@ -61,12 +64,12 @@ def pietra() -> Generator:
 
 def theil() -> Generator:
     # GE_1: reverse-KL generator
-    return Generator("theil", lambda t: -np.log(t), True, math.inf, 0.0)
+    return Generator("theil", lambda t: -np.log(t), True, math.inf, 0.0, 1.0)
 
 
 def mld() -> Generator:
     # GE_0: KL generator; t*ln(t) -> 0 as t -> 0
-    return Generator("mld", lambda t: t * np.log(t), True, 0.0, math.inf)
+    return Generator("mld", lambda t: t * np.log(t), True, 0.0, math.inf, 0.0)
 
 
 def ge(c: float) -> Generator:
@@ -88,6 +91,7 @@ def ge(c: float) -> Generator:
         True,
         at_zero,
         tail,
+        c,
     )
 
 
@@ -175,8 +179,8 @@ def classic_index(pop: Dataset, gen: Generator) -> float:
         if np.any(rel == 0):
             return math.inf
         return float(-np.log(rel).sum() / n)
-    if gen.name.startswith("ge:"):
-        c = float(gen.name.split(":", 1)[1])
+    if gen.c is not None:
+        c = gen.c
         if np.any(rel == 0) and c < 0:
             return math.inf
         with np.errstate(divide="ignore"):

@@ -119,19 +119,12 @@ class Dataset:
         unsigned dtype) and each cell's level code per attribute (one row
         per attribute). The table is kept; a grouping whose attributes are
         not all in it replaces it with a table over that grouping's
-        attributes only, built with one `np.unique` over the records, so no
-        code is wider than one grouping and only grouped attributes are
-        ever encoded.
+        attributes only, built with one sort of the records' code rows, so
+        only grouped attributes are ever encoded.
         """
         if self._table is None or not set(attrs) <= set(self._table[0]):
-            encoded = [self._encode(a) for a in attrs]
-            combined = np.zeros(len(self), dtype=np.int64)
-            for levels, codes in encoded:
-                combined = combined * len(levels) + codes
-            cells, index = np.unique(combined, return_inverse=True)
-            digits = np.empty((len(attrs), len(cells)), dtype=np.int64)
-            for row in reversed(range(len(attrs))):
-                cells, digits[row] = np.divmod(cells, len(encoded[row][0]))
+            codes = np.array([self._encode(a)[1] for a in attrs]).reshape(len(attrs), len(self))
+            index, digits = _distinct_columns(codes)
             self._table = attrs, index.astype(np.min_scalar_type(digits.shape[1])), digits
         return self._table
 
@@ -173,6 +166,23 @@ def bottom() -> WeightedColumns:
     return WeightedColumns([1.0], [1.0])
 
 
+def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct columns of a 2-d array of small integer codes.
+
+    Returns each column's index among the distinct columns and the distinct
+    columns themselves, in lexicographic order with the first row most
+    significant. Zero rows give one empty column: grouping by no attributes
+    gives the single cell ().
+    """
+    order = np.lexsort(rows[::-1]) if len(rows) else np.arange(rows.shape[1])
+    ordered = rows[:, order]
+    starts = np.ones(rows.shape[1], dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    index = np.empty(rows.shape[1], dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return index, ordered[:, starts]
+
+
 def _cells(
     pop: Dataset, attrs: Iterable[str]
 ) -> tuple[np.ndarray, list[tuple[str, ...]], np.ndarray, np.ndarray]:
@@ -187,21 +197,11 @@ def _cells(
     """
     attrs = _ordered_attrs(pop, attrs)
     table_attrs, index, cell_digits = pop._joint(attrs)
-    encoded = [pop._encode(a) for a in attrs]
-    # mixed-radix combination of the table cells' digits; the first attribute
-    # is the most significant digit, so cell order is lexicographic by key
-    combined = np.zeros(cell_digits.shape[1], dtype=np.int64)
-    for a, (levels, _) in zip(attrs, encoded):
-        combined = combined * len(levels) + cell_digits[table_attrs.index(a)]
-    cells, cell_codes = np.unique(combined, return_inverse=True)
+    cell_codes, digits = _distinct_columns(cell_digits[[table_attrs.index(a) for a in attrs]])
     codes = cell_codes[index]
-    keys = []
-    for cell in cells.tolist():
-        digits = []
-        for levels, _ in reversed(encoded):
-            cell, d = divmod(cell, len(levels))
-            digits.append(levels[d])
-        keys.append(tuple(reversed(digits)))
+    levels = [pop._encode(a)[0] for a in attrs]
+    names = [[lv[d] for d in row] for lv, row in zip(levels, digits.tolist())]
+    keys = list(zip(*names)) if attrs else [()]
     counts = np.bincount(codes, minlength=len(keys))
     sums = np.bincount(codes, weights=pop.indicators, minlength=len(keys))
     return codes, keys, counts, sums

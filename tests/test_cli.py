@@ -139,6 +139,16 @@ def test_subgroup_output(runner, tmp_path):
     assert payload["total"] == pytest.approx(0.187445)
 
 
+def test_subgroup_total_is_the_measure_at_every_digit_of_c(runner, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("income,region\n1,a\n3,a\n2,b\n7,b\n0.5,c\n")
+    args = ["-i", str(p), "--value-col", "income", "--measure", "ge:0.123456789",
+            "--precision", "17"]
+    whole = json.loads(invoke(runner, ["measure", *args]).output)
+    split = json.loads(invoke(runner, ["subgroup", *args, "--group-by", "region"]).output)
+    assert split["total"] == whole["value"]
+
+
 def test_subgroup_zero_income_group_mld_is_infinite(runner, tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("income,region\n0,r1\n0,r1\n3,r2\n5,r2\n")

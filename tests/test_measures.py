@@ -107,6 +107,14 @@ def test_classic_index_hand_values():
         assert classic_index(u, gen) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_ge_parameter_is_not_read_back_from_the_name():
+    gen = ge(0.123456789)
+    assert gen.name == "ge:0.123457" and gen.c == 0.123456789
+    d = Dataset.from_values([1, 3, 2, 7, 0.5])
+    want = inequality(population_matrix(d), MeasureSpec(gen))
+    assert classic_index(d, gen) == pytest.approx(want, rel=1e-12)
+
+
 def test_special_cases_match_classic(rng):
     for _ in range(100):
         d = random_dataset(rng, max_n=50, low=0.01, high=100.0)

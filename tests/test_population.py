@@ -20,8 +20,10 @@ from ineqlab import (
     canonical_chain,
     decompose,
     game_synergy,
+    game_value,
     group_by,
     grouped_columns,
+    inequality,
     order,
     OrderRelation,
     population_matrix,
@@ -237,6 +239,27 @@ def test_one_attribute_groupings_of_many_attributes():
         assert sums.tolist() == exp_sums
 
 
+def test_joint_codes_past_int64_give_the_records_own_keys():
+    """300 records with 8 attributes of 300 levels: the level counts
+    multiply to 300**8 > 2**63, so a joint code packed into one int64
+    would wrap and give keys of no record."""
+    rng = np.random.default_rng(8)
+    names = [f"X{j}" for j in range(8)]
+    attrs = {name: rng.permutation(300) for name in names}
+    d = Dataset(rng.uniform(0.0, 5.0, 300), attrs, names)
+    exp_codes, exp_keys, exp_counts, exp_sums = grouped_by_records(d, names)
+    spec = MeasureSpec(theil())
+    per_record = WeightedColumns(
+        np.array(exp_counts) / len(d), np.array(exp_sums) / d.indicators.sum()
+    )
+    assert game_value(d, names, spec) == inequality(per_record, spec)
+    codes, keys, counts, sums = _cells(d, names)
+    assert codes.tolist() == exp_codes
+    assert keys == exp_keys
+    assert counts.tolist() == exp_counts
+    assert sums.tolist() == exp_sums
+
+
 def three_attribute_dataset(n=500, seed=3):
     rng = np.random.default_rng(seed)
     attrs = {name: rng.choice([f"{name}{j}" for j in range(3)], n) for name in "ABC"}
@@ -266,18 +289,24 @@ def test_grouping_encodes_only_grouped_attributes(group):
     ids=["decompose", "shapley"],
 )
 def test_three_attributes_sort_the_records_once(run, monkeypatch):
-    """One sort of the records' integer joint codes builds the cell table;
-    every grouping after it is projected from the table's cells."""
+    """One sort of the records' integer codes builds the cell table; every
+    grouping after it is projected from the table's cells."""
     d = three_attribute_dataset()
     sorts = []
-    unique = np.unique
+    unique, lexsort = np.unique, np.lexsort
 
     def counting_unique(ar, *args, **kwargs):
         ar = np.asarray(ar)
         if ar.size == len(d) and ar.dtype.kind in "iu":
-            sorts.append(ar.size)
+            sorts.append("unique")
         return unique(ar, *args, **kwargs)
 
+    def counting_lexsort(keys, *args, **kwargs):
+        if np.shape(keys)[-1] == len(d):
+            sorts.append("lexsort")
+        return lexsort(keys, *args, **kwargs)
+
     monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
     run(d, MeasureSpec(theil()))
     assert len(sorts) == 1
