@@ -14,9 +14,10 @@ import math
 import os
 import sys
 from functools import wraps
-from itertools import combinations
+from itertools import combinations, repeat
 
 import click
+import numpy as np
 
 from .decomposition import atkinson_decompose, decompose, subgroup_decompose
 from .errors import (
@@ -27,7 +28,9 @@ from .errors import (
 )
 from .measures import MeasureSpec, atkinson, inequality, parse_measure
 from .population import Dataset, grouped_columns, population_matrix
-from .shapley import game_synergy, shapley_values
+from .shapley import _all_values, _phi
+# not called here; perfbench/run.py traces calls through these names
+from .shapley import game_synergy, shapley_values  # noqa: F401
 from .zonogon import canonical_chain
 
 log = logging.getLogger("ineqlab")
@@ -55,58 +58,135 @@ def _setup_logging() -> None:
 def ingest(path: str, value_col: str) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset.
 
-    Every column other than the value column becomes an attribute.
+    Every column other than the value column becomes an attribute. A CSV
+    without quotes or carriage returns is read column by column; any other
+    text, and any text with a row the columnar reader does not accept, is
+    read again row by row, which gives the same Dataset and raises every
+    line-numbered input error. A UTF-8 byte order mark is skipped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError("empty dataset") from None
-            for i, h in enumerate(header):
-                if h in header[:i]:
-                    raise InputError(f"header repeats column {h!r}")
-            if value_col not in header:
-                raise InputError(f"missing value column {value_col!r}")
-            vi = header.index(value_col)
-            attr_names = [h for h in header if h != value_col]
-            attr_idx = {a: header.index(a) for a in attr_names}
-            values = []
-            attrs: dict[str, list[str]] = {a: [] for a in attr_names}
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise InputError(
-                        f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    v = float(row[vi])
-                except ValueError:
-                    raise InputError(
-                        f"line {lineno}: cannot parse value {row[vi]!r}"
-                    ) from None
-                if not math.isfinite(v) or v < 0:
-                    raise InputError(
-                        f"line {lineno}: value must be non-negative and finite"
-                    )
-                values.append(v)
-                for a in attr_names:
-                    cell = row[attr_idx[a]]
-                    if cell == "":
-                        raise InputError(
-                            f"line {lineno}: missing category for attribute {a!r}"
-                        )
-                    attrs[a].append(cell)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            columns = _read_columns(fh, value_col)
+            if columns is None:
+                fh.seek(0)
+                columns = _read_rows(fh, value_col)
     except OSError as exc:
         raise InputError(str(exc)) from exc
-    if not values:
+    values, attrs, attr_names = columns
+    if not len(values):
         raise InputError("empty dataset")
     try:
         return Dataset(values, attrs, attr_names)
     except IneqError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _check_header(header: list[str], value_col: str) -> None:
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise InputError(f"header repeats column {h!r}")
+    if value_col not in header:
+        raise InputError(f"missing value column {value_col!r}")
+
+
+# characters per block of lines in the columnar reader: a block's flat list
+# of fields is transient, so it stays small next to the columns it fills
+_BLOCK_CHARS = 1 << 16
+
+
+def _read_columns(fh, value_col: str):
+    """Values, attribute lists and names of a CSV without quotes or
+    carriage returns, or None where `_read_rows` must read it.
+
+    Reads blocks of whole lines and splits each block into one flat list
+    of fields. Raises only the header errors; every row it does not take
+    as it is (a blank row, a wrong field count, a value that does not
+    parse or is negative or not finite, an empty category, a field longer
+    than `csv.field_size_limit()`) gives None.
+    """
+    line = fh.readline().removesuffix("\n")
+    if not line or '"' in line or "\r" in line:
+        return None
+    header = line.split(",")
+    _check_header(header, value_col)
+    k = len(header)
+    vi = header.index(value_col)
+    attr_names = [h for h in header if h != value_col]
+    attr_idx = [header.index(a) for a in attr_names]
+    # one string object per distinct level of each attribute
+    levels: list[dict[str, str]] = [{} for _ in attr_names]
+    attrs: list[list[str]] = [[] for _ in attr_names]
+    blocks = []
+    while lines := fh.readlines(_BLOCK_CHARS):
+        text = "".join(lines)
+        if '"' in text or "\r" in text:
+            return None
+        if list(map(str.count, lines, repeat(","))).count(k - 1) != len(lines):
+            return None
+        flat = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            flat.pop()
+        limit = csv.field_size_limit()
+        if len(text) > limit and max(map(len, flat)) > limit:
+            return None  # csv.reader rejects a field this long
+        cells = flat[vi::k]
+        try:
+            # float() as in `_read_rows`, so the same texts parse, to the same bits
+            block = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            return None
+        if not np.all(np.isfinite(block)) or np.any(block < 0):
+            return None
+        blocks.append(block)
+        for j, level, column in zip(attr_idx, levels, attrs):
+            cells = flat[j::k]
+            if "" in cells:
+                return None
+            column.extend(map(level.setdefault, cells, cells))
+    values = np.concatenate(blocks) if blocks else np.empty(0)
+    return values, dict(zip(attr_names, attrs)), attr_names
+
+
+def _read_rows(fh, value_col: str):
+    """Values, attribute lists and names read with `csv.reader`, raising
+    an InputError with the line number at the first row it rejects."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("empty dataset") from None
+    _check_header(header, value_col)
+    vi = header.index(value_col)
+    attr_names = [h for h in header if h != value_col]
+    attr_idx = {a: header.index(a) for a in attr_names}
+    values = []
+    attrs: dict[str, list[str]] = {a: [] for a in attr_names}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise InputError(
+                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            v = float(row[vi])
+        except ValueError:
+            raise InputError(
+                f"line {lineno}: cannot parse value {row[vi]!r}"
+            ) from None
+        if not math.isfinite(v) or v < 0:
+            raise InputError(
+                f"line {lineno}: value must be non-negative and finite"
+            )
+        values.append(v)
+        for a in attr_names:
+            cell = row[attr_idx[a]]
+            if cell == "":
+                raise InputError(
+                    f"line {lineno}: missing category for attribute {a!r}"
+                )
+            attrs[a].append(cell)
+    return values, attrs, attr_names
 
 
 def _round(value: float, precision: int):
@@ -201,9 +281,9 @@ def cmd_lorenz(path, value_col, group_attrs, precision):
     else:
         cols = population_matrix(pop)
     chain = canonical_chain(cols)
-    click.echo("x,y")
-    for x, y in chain.vertices:
-        click.echo(f"{x:.{precision}g},{y:.{precision}g}")
+    click.echo("\n".join(
+        ["x,y"] + [f"{x:.{precision}g},{y:.{precision}g}" for x, y in chain.vertices.tolist()]
+    ))
 
 
 @main.command("decompose")
@@ -264,9 +344,10 @@ def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         raise InvalidMeasure("shapley requires an f-inequality measure")
-    phi = shapley_values(pop, attrs, parsed)
+    values = _all_values(pop, attrs, parsed)
+    phi = _phi(values, attrs)
     interactions = {
-        f"{a}|{b}": _round(game_synergy(pop, a, b, parsed), precision)
+        f"{a}|{b}": _round(values[(a, b)] - values[(a,)] - values[(b,)], precision)
         for a, b in combinations(attrs, 2)
     }
     payload = {

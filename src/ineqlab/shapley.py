@@ -28,6 +28,11 @@ def game_value(pop: Dataset, coalition: Sequence[str], spec: MeasureSpec) -> flo
 
 
 def _all_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict:
+    """Value of every coalition of `attrs`, keyed by its attributes in the
+    order of `attrs`."""
+    _check_distinct(attrs)
+    if len(attrs) > MAX_PLAYERS:
+        raise TooManyAttributes(f"exact enumeration supports up to {MAX_PLAYERS} attributes")
     values = {(): 0.0}
     # the grand coalition first, so the Dataset builds its cell table over
     # all the attributes once
@@ -37,18 +42,9 @@ def _all_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict:
     return values
 
 
-def shapley_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict[str, float]:
-    """Exact Shapley values of the grouped-inequality game.
-
-    Enumerates all 2^n coalitions; efficiency (values summing to the
-    grand-coalition value) holds by construction.
-    """
-    attrs = list(attrs)
-    _check_distinct(attrs)
+def _phi(values: dict, attrs: Sequence[str]) -> dict[str, float]:
+    """Shapley values from the coalition values `_all_values` gives."""
     n = len(attrs)
-    if n > MAX_PLAYERS:
-        raise TooManyAttributes(f"exact enumeration supports up to {MAX_PLAYERS} attributes")
-    values = _all_values(pop, attrs, spec)
     phi = {}
     for a in attrs:
         others = [x for x in attrs if x != a]
@@ -60,6 +56,16 @@ def shapley_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dic
                 total += weight * (values[joined] - values[coalition])
         phi[a] = total
     return phi
+
+
+def shapley_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict[str, float]:
+    """Exact Shapley values of the grouped-inequality game.
+
+    Enumerates all 2^n coalitions; efficiency (values summing to the
+    grand-coalition value) holds by construction.
+    """
+    attrs = list(attrs)
+    return _phi(_all_values(pop, attrs, spec), attrs)
 
 
 def game_synergy(pop: Dataset, a: str, b: str, spec: MeasureSpec) -> float:

@@ -1,14 +1,23 @@
 """CLI commands: ingestion, output formats, schemas, exit codes."""
 
+import csv
+import io
 import json
 import logging
 from importlib import resources
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
-from ineqlab.cli import main
+import ineqlab.shapley
+from ineqlab import cli
+from ineqlab.cli import InputError, _read_columns, _read_rows, main
 
 XOR_CSV = "region,industry,income\nr1,i1,1\nr1,i2,3\nr2,i1,3\nr2,i2,1\n"
 UNIFORM_CSV = "g,income\na,2\nb,2\nc,2\n"
@@ -289,3 +298,174 @@ def test_ingest_repeated_column_exit_2(runner, tmp_path, header, repeated):
     res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
     assert res.exit_code == 2
     assert f"header repeats column {repeated!r}" in res.output
+
+
+def test_shapley_values_each_coalition_once(runner, monkeypatch):
+    calls = []
+    game_value = ineqlab.shapley.game_value
+
+    def counted(pop, coalition, spec):
+        calls.append(tuple(coalition))
+        return game_value(pop, coalition, spec)
+
+    monkeypatch.setattr(ineqlab.shapley, "game_value", counted)
+    csv_path = Path(__file__).resolve().parent / "golden" / "population.csv"
+    res = invoke(
+        runner,
+        ["shapley", "-i", str(csv_path), "--value-col", "income", "--attrs", "tier,region,size"],
+    )
+    assert res.exit_code == 0
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("a,1\nb,2,3\n", "line 3: expected 2 fields, got 3"),
+        ("a,1\n\nb\n", "line 4: expected 2 fields, got 1"),
+        ("a,1\nb,x\n", "line 3: cannot parse value 'x'"),
+        ('a,1\n"b,c",1e400\n', "line 3: value must be non-negative and finite"),
+    ],
+)
+def test_ingest_line_errors_exit_2(runner, tmp_path, body, message):
+    p = tmp_path / "d.csv"
+    p.write_text("g,income\n" + body)
+    res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
+    assert res.exit_code == 2
+    assert f"Error: {message}\n" in res.output
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["columns", "rows"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["measure", "--measure", "theil"],
+        ["decompose", "--measure", "theil", "--attrs", "tier,region"],
+    ],
+)
+def test_utf8_bom_is_skipped(runner, tmp_path, args, quoted):
+    text = (Path(__file__).resolve().parent / "golden" / "population.csv").read_text()
+    if quoted:  # a quoted field sends the whole file to the row reader
+        text = text.replace(",north,", ',"north",', 1)
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    outputs = [
+        invoke(runner, [args[0], "-i", str(p), "--value-col", "income", *args[1:]])
+        for p in (plain, bom)
+    ]
+    assert [r.exit_code for r in outputs] == [0, 0]
+    assert outputs[0].output == outputs[1].output
+
+
+def test_unquoted_csv_is_read_by_columns():
+    text = (Path(__file__).resolve().parent / "golden" / "population.csv").read_text()
+    with mock.patch.object(cli, "_BLOCK_CHARS", 1000):
+        columns = _read_columns(io.StringIO(text, newline=""), "income")
+    assert columns is not None
+    assert _same_reading(columns, _read_rows(io.StringIO(text, newline=""), "income"))
+
+
+def test_field_size_limit_is_the_row_readers():
+    limit = csv.field_size_limit(8)
+    try:
+        for field, taken in [("x" * 8, True), ("x" * 9, False)]:
+            text = "v,a\n" + "1,y\n" * 3 + f"2,{field}\n"
+            columns = _read_columns(io.StringIO(text, newline=""), "v")
+            assert (columns is not None) == taken
+            if taken:
+                assert _same_reading(columns, _read_rows(io.StringIO(text, newline=""), "v"))
+            else:
+                with pytest.raises(csv.Error):
+                    _read_rows(io.StringIO(text, newline=""), "v")
+    finally:
+        csv.field_size_limit(limit)
+
+
+# -- the columnar reader against the row reader ----------------------------------
+
+VALUES = ["1", "0", "2.5", "1e3", "0.1", "-0"]
+CATEGORIES = ["x", "y", "zz"]
+# at most two per text, so that many texts have one odd feature alone
+ODD = (
+    [("plain",), ("quoted",), ("crlf",)]
+    + [("row", kind) for kind in ["short", "long", "blank", "commas", "spaces"]]
+    + [("v", v) for v in ["1_000", " 1.5", "nan", "inf", "1e400", "0x10", "", " ", "-1"]]
+    + [("category", c) for c in ["", " ", "a,b", 'q"r']]
+)
+
+
+def _field(text, quote):
+    if quote or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts with a header `v` plus 0-3 attributes."""
+    odd = draw(st.sets(st.sampled_from(ODD), min_size=1, max_size=2))
+    names = draw(st.permutations(["v"] + ["a", "b", "c"][: draw(st.integers(0, 3))]))
+    k = len(names)
+    odd_kinds = [f[1] for f in odd if f[0] == "row"]
+    odd_values = [f[1] for f in odd if f[0] == "v"]
+    odd_categories = [f[1] for f in odd if f[0] == "category"]
+    quote = st.booleans() if ("quoted",) in odd else st.just(False)
+
+    def field(name):
+        odd_cells = odd_values if name == "v" else odd_categories
+        if odd_cells and draw(st.booleans()):
+            text = draw(st.sampled_from(odd_cells))
+        else:
+            text = draw(st.sampled_from(VALUES if name == "v" else CATEGORIES))
+        return _field(text, draw(quote))
+
+    lines = [",".join(_field(n, draw(quote)) for n in names)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 2 + odd_kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "commas":
+            lines.append("," * draw(st.integers(1, 3)))
+        elif kind == "spaces":
+            lines.append(" " * draw(st.integers(1, 3)))
+        else:
+            fields = [field(n) for n in names]
+            if kind == "short" and k > 1:
+                fields.pop()
+            elif kind == "long":
+                fields.append("x")
+            lines.append(",".join(fields))
+    # CRLF, or a mix of CRLF and LF
+    end = st.sampled_from(["\r\n", "\n"]) if ("crlf",) in odd else st.just("\n")
+    text = "".join(line + draw(end) for line in lines)
+    return text if draw(st.booleans()) else text.removesuffix("\n").removesuffix("\r")
+
+
+def _read(reader, text):
+    try:
+        return reader(io.StringIO(text, newline=""), "v")
+    except InputError as exc:
+        return exc.message
+
+
+def _same_reading(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    (va, aa, na), (vb, ab, nb) = a, b
+    va, vb = np.asarray(va, dtype=float), np.asarray(vb, dtype=float)
+    return va.tobytes() == vb.tobytes() and aa == ab and list(na) == list(nb)
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_texts(), st.sampled_from([1, 8, 64, 1 << 16]))
+def test_columnar_reader_agrees_with_row_reader(text, block_chars):
+    """Where the columnar reader takes a text, it reads what the row reader
+    reads; where it gives up, `ingest` uses the row reader. Either way the
+    result or the InputError message is the row reader's."""
+    with mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
+        columns = _read(_read_columns, text)
+    rows = _read(_read_rows, text)
+    if columns is not None:
+        assert _same_reading(columns, rows)
