@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import sys
-from functools import wraps
 from itertools import combinations, repeat
 
 import click
@@ -36,12 +35,26 @@ from .zonogon import canonical_chain
 log = logging.getLogger("ineqlab")
 log.addHandler(logging.NullHandler())
 
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
-
 
 class InputError(click.ClickException):
-    exit_code = EXIT_INPUT
+    exit_code = 2
+
+
+class NumericError(click.ClickException):
+    exit_code = 3
+
+
+class _Main(click.Group):
+    """The one place where library errors become exit codes; click prints
+    each as `Error: <message>` on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (InfiniteMeasure, TransformDomainError) as exc:
+            raise NumericError(str(exc)) from exc
+        except IneqError as exc:
+            raise InputError(str(exc)) from exc
 
 
 def _setup_logging() -> None:
@@ -70,15 +83,9 @@ def ingest(path: str, value_col: str) -> Dataset:
             if columns is None:
                 fh.seek(0)
                 columns = _read_rows(fh, value_col)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(str(exc)) from exc
-    values, attrs, attr_names = columns
-    if not len(values):
-        raise InputError("empty dataset")
-    try:
-        return Dataset(values, attrs, attr_names)
-    except IneqError as exc:
-        raise InputError(str(exc)) from exc
+    return Dataset(*columns)
 
 
 def _check_header(header: list[str], value_col: str) -> None:
@@ -148,11 +155,11 @@ def _read_columns(fh, value_col: str):
 
 
 def _read_rows(fh, value_col: str):
-    """Values, attribute lists and names read with `csv.reader`, raising
-    an InputError with the line number at the first row it rejects."""
-    reader = csv.reader(fh)
+    """Values, attribute lists and names read with `csv.reader`; the first
+    row it rejects raises an InputError, or a csv.Error, with its line."""
+    rows = _records(csv.reader(fh))
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise InputError("empty dataset") from None
     _check_header(header, value_col)
@@ -161,7 +168,7 @@ def _read_rows(fh, value_col: str):
     attr_idx = {a: header.index(a) for a in attr_names}
     values = []
     attrs: dict[str, list[str]] = {a: [] for a in attr_names}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
@@ -187,6 +194,18 @@ def _read_rows(fh, value_col: str):
                 )
             attrs[a].append(cell)
     return values, attrs, attr_names
+
+
+def _records(reader):
+    """(line, row) per record, the line being the file line the record
+    starts on; a csv.Error the reader raises is raised again with it."""
+    lineno = 1
+    try:
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as exc:
+        raise csv.Error(f"line {lineno}: {exc}") from None
 
 
 def _round(value: float, precision: int):
@@ -216,21 +235,6 @@ def _flatten(obj, prefix=""):
         yield prefix, obj
 
 
-def _numeric_errors(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InfiniteMeasure, TransformDomainError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
-        except IneqError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-
-    return wrapper
-
-
 input_opt = click.option("--input", "-i", "path", required=True, help="input CSV file")
 value_opt = click.option("--value-col", required=True, help="name of the indicator column")
 measure_opt = click.option("--measure", "measure_str", default="theil", show_default=True)
@@ -242,7 +246,7 @@ precision_opt = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Inequality measures and attribute decompositions."""
     _setup_logging()
@@ -254,7 +258,6 @@ def main() -> None:
 @measure_opt
 @format_opt
 @precision_opt
-@_numeric_errors
 def cmd_measure(path, value_col, measure_str, fmt, precision):
     """Compute one inequality measure over the whole population."""
     pop = ingest(path, value_col)
@@ -272,7 +275,6 @@ def cmd_measure(path, value_col, measure_str, fmt, precision):
 @value_opt
 @click.option("--group-by", "group_attrs", default=None, help="comma-separated attributes")
 @precision_opt
-@_numeric_errors
 def cmd_lorenz(path, value_col, group_attrs, precision):
     """Emit the canonical chain vertices as x,y CSV."""
     pop = ingest(path, value_col)
@@ -293,7 +295,6 @@ def cmd_lorenz(path, value_col, group_attrs, precision):
 @click.option("--attrs", "attrs_str", required=True, help="2 or 3 comma-separated attributes")
 @format_opt
 @precision_opt
-@_numeric_errors
 def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
     """Redundant/unique/synergetic decomposition over the attribute lattice."""
     pop = ingest(path, value_col)
@@ -336,7 +337,6 @@ def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
 @click.option("--attrs", "attrs_str", required=True, help="comma-separated attributes")
 @format_opt
 @precision_opt
-@_numeric_errors
 def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
     """Exact Shapley values of the grouped-inequality game."""
     pop = ingest(path, value_col)
@@ -365,7 +365,6 @@ def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
 @click.option("--group-by", "group_attr", required=True, help="single grouping attribute")
 @format_opt
 @precision_opt
-@_numeric_errors
 def cmd_subgroup(path, value_col, measure_str, group_attr, fmt, precision):
     """Classical GE between/within subgroup decomposition."""
     pop = ingest(path, value_col)

@@ -128,31 +128,29 @@ class MeasureSpec:
             raise InvalidMeasure("p must lie in [0, 1]")
 
 
+def _r(x: np.ndarray, y: np.ndarray, spec: MeasureSpec) -> np.ndarray:
+    """r of each column (x, y): a*f(x/a) with a = p*x + (1-p)*y, x times
+    the tail slope where a vanishes with x > 0, and 0 for the zero column."""
+    a = spec.p * x + (1 - spec.p) * y
+    pos = a > 0
+    terms = np.zeros_like(a)
+    terms[pos] = a[pos] * spec.f(x[pos] / a[pos])
+    vanished = ~pos & (x > 0)
+    terms[vanished] = x[vanished] * spec.f.tail_slope
+    return terms
+
+
 def r_fp(v: tuple[float, float], spec: MeasureSpec) -> float:
     """Measure of one column vector; non-negative, possibly infinite."""
     x, y = float(v[0]), float(v[1])
     if x < 0 or y < 0:
         raise NegativeComponent("vector components must be non-negative")
-    a = spec.p * x + (1 - spec.p) * y
-    if a == 0:
-        if x == 0:
-            return 0.0
-        return x * spec.f.tail_slope
-    return float(a * spec.f(x / a))
+    return float(_r(np.array([x]), np.array([y]), spec)[0])
 
 
 def inequality(cols: WeightedColumns, spec: MeasureSpec) -> float:
     """Sum of r over the columns; +inf is propagated explicitly."""
-    x = cols.weights
-    y = cols.shares
-    a = spec.p * x + (1 - spec.p) * y
-    pos = a > 0
-    terms = np.zeros_like(a)
-    if np.any(pos):
-        terms[pos] = a[pos] * spec.f(x[pos] / a[pos])
-    vanished = ~pos & (x > 0)
-    if np.any(vanished):
-        terms[vanished] = x[vanished] * spec.f.tail_slope
+    terms = _r(cols.weights, cols.shares, spec)
     if np.any(np.isinf(terms)):
         return math.inf
     return float(terms.sum())

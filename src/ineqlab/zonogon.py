@@ -160,12 +160,31 @@ def meet(z1: Zonogon, z2: Zonogon) -> Zonogon:
     if points[0, 1] > 0:  # both chains start with a vertical edge
         points = np.vstack([[0.0, 0.0], points])
     points = _prune_collinear(points)
-    # differencing vertices turns an exact zero into a residue of either
-    # sign (up to ten ulps seen, where a crossing lands next to a vertex);
-    # snap it back like the x gaps above, so zero shares stay zero
+    # a difference of heights near y keeps fewer than about 32 bits of a
+    # share below 2**-20 * y (two digits of 1e-14 near y = 1) and turns a zero
+    # share into a residue of either sign; take such a share from the slope
+    # of the lower source chain's edge under the piece, where the two agree
+    # within MERGE_TOL * y (a piece over a corner pruned as collinear does not)
     edges = np.diff(points, axis=0)
-    edges[np.abs(edges) <= MERGE_TOL] = 0.0
+    thin = np.flatnonzero(np.abs(edges[:, 1]) <= 2.0**-20 * points[1:, 1])
+    if len(thin):
+        mid = (points[thin, 0] + points[thin + 1, 0]) / 2
+        (rest1, slope1), (rest2, slope2) = _rest_and_slope(z1, mid), _rest_and_slope(z2, mid)
+        share = edges[thin, 0] * np.where(rest1 >= rest2, slope1, slope2)
+        agree = np.abs(share - edges[thin, 1]) <= MERGE_TOL * points[thin + 1, 1]
+        edges[thin[agree], 1] = share[agree]
     return Zonogon(points, generators=edges)
+
+
+def _rest_and_slope(z: Zonogon, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 minus the chain's height at each x in (0, 1), and share over weight
+    of the edge over it; the rest is summed from the top end over the edges'
+    shares, so it keeps its digits where the height is close to 1."""
+    e = z.edges
+    k = np.searchsorted(z.vertices[:, 0], x, side="right") - 1
+    slope = e[k, 1] / e[k, 0]
+    rest_at_vertices = np.append(np.cumsum(e[::-1, 1])[::-1], 0.0)
+    return rest_at_vertices[k + 1] + (z.vertices[k + 1, 0] - x) * slope, slope
 
 
 def meet_all(zonogons: list[Zonogon]) -> Zonogon:

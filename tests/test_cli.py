@@ -230,6 +230,18 @@ def test_decompose_infinite_exit_3(runner, tmp_path):
         ["decompose", "-i", str(p), "--value-col", "income", "--attrs", "a,b", "--measure", "mld"],
     )
     assert res.exit_code == 3
+    assert "Error: cumulative value of node [[a,b]] is infinite\n" in res.output
+
+
+def test_decompose_keeps_a_tiny_share(runner, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("A,B,income\na,x,1e-13\nb,y,2\nb,z,1\nc,y,3\nc,z,1\nc,y,2\n")
+    res = invoke(
+        runner,
+        ["decompose", "-i", str(p), "--value-col", "income", "--attrs", "A,B", "--measure", "mld"],
+    )
+    assert res.exit_code == 0
+    assert isinstance(json.loads(res.output)["components"]["redundant"], float)
 
 
 def test_unknown_measure_exit_2(runner, xor_file):
@@ -237,6 +249,7 @@ def test_unknown_measure_exit_2(runner, xor_file):
         main, ["measure", "-i", xor_file, "--value-col", "income", "--measure", "gini"]
     )
     assert res.exit_code == 2
+    assert "Error: unknown measure 'gini'\n" in res.output
 
 
 def test_round_trip_determinism(runner, xor_file):
@@ -326,6 +339,8 @@ def test_shapley_values_each_coalition_once(runner, monkeypatch):
         ("a,1\n\nb\n", "line 4: expected 2 fields, got 1"),
         ("a,1\nb,x\n", "line 3: cannot parse value 'x'"),
         ('a,1\n"b,c",1e400\n', "line 3: value must be non-negative and finite"),
+        # lines of the file, not records: the quoted field spans lines 2 and 3
+        ('"a\nb",1\nc,x\n', "line 4: cannot parse value 'x'"),
     ],
 )
 def test_ingest_line_errors_exit_2(runner, tmp_path, body, message):
@@ -381,6 +396,32 @@ def test_field_size_limit_is_the_row_readers():
                     _read_rows(io.StringIO(text, newline=""), "v")
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize(
+    "data",
+    # 0xff in the header line, and 0xff after the first 64 KB block of lines
+    [b"g\xff,income\na,1\n", b"g,income\n" + b"a,1\n" * 20_000 + b"\xff,2\n"],
+    ids=["header", "later-block"],
+)
+def test_non_utf8_input_exit_2(runner, tmp_path, data):
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
+    assert res.exit_code == 2
+    assert "Error: 'utf-8' codec can't decode byte 0xff" in res.output
+
+
+def test_field_over_the_size_limit_exit_2(runner, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("g,income\n" + "a,1\n" * 3 + f"{'x' * 9},2\n")
+    limit = csv.field_size_limit(8)
+    try:
+        res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
+    finally:
+        csv.field_size_limit(limit)
+    assert res.exit_code == 2
+    assert "Error: line 5: field larger than field limit (8)\n" in res.output
 
 
 # -- the columnar reader against the row reader ----------------------------------

@@ -235,6 +235,54 @@ def test_meet_of_infinite_mld_sources_stays_infinite(values, a, b):
     assert cumulative(LatticeNode.of(("A",), ("B",)), d, spec) == np.inf
 
 
+@pytest.mark.parametrize("values, a, b", [
+    # group a's share, 1.1e-14, keeps two digits as a difference of heights
+    # near 1; taken as zero, it made the MLD of the bottom node infinite
+    ([1e-13, 2, 1, 3, 1, 2], list("abbccc"), list("xyzyzy")),
+    # over the last piece the two chains' heights differ by about an ulp;
+    # their rests 1 - y, summed from the top, tell which one is lower
+    (
+        [0.06901270724557172, 3.2565591631430577e-16, 1.6682026798455823e-15,
+         1.8911414534398072, 7.086251587740464e-16],
+        ["a1", "a2", "a2", "a3", "a2"],
+        ["b3", "b2", "b2", "b4", "b3"],
+    ),
+])
+def test_meet_keeps_a_tiny_share(values, a, b):
+    d = Dataset(values, {"A": a, "B": b}, ["A", "B"])
+    spec = MeasureSpec(mld())
+    result = decompose(d, ["A", "B"], spec)
+    bottom = result.cumulative(LatticeNode.of(("A",), ("B",)))
+    assert np.isfinite(bottom)
+    single = [inequality(grouped_columns(d, [a]), spec) for a in "AB"]
+    assert bottom <= min(single) * (1 + 1e-12)
+    only_a = LatticeNode.of(("A",))
+    assert result.partial(only_a) >= -1e-12 * result.cumulative(only_a)
+
+
+# A seeded random population (20 rows, 4 zero incomes, attributes of 5, 4
+# and 5 levels). A meet in its decomposition has a piece of share 1.7e-7 at
+# y = 0.998 over a corner that collinearity pruning dropped: the slope of a
+# single source edge misses its share by 5 %, and the shares no longer sum
+# to one.
+CORNER_VALUES = [
+    0.0, 0.0, 6.636355392967968, 0.0, 5.183526737778849, 0.09087833593869209,
+    0.4110571977691573, 5.464044168943363, 6.877592553760349, 0.09088112074057889,
+    1.0678634732073546, 20.79669791189911, 0.12977659492423657, 0.0, 0.343881916966315,
+    1.1118338236057796, 0.7305349897284902, 7.0078698254907765, 0.41546304985274923,
+    0.09554196054976681,
+]
+CORNER_CODES = "332 410 201 302 124 102 434 024 114 304 330 414 414 214 133 114 411 224 124 220"
+
+
+def test_meet_piece_over_a_pruned_corner_keeps_its_share():
+    codes = CORNER_CODES.split()
+    attrs = {a: [f"{a.lower()}{row[j]}" for row in codes] for j, a in enumerate("ABC")}
+    d = Dataset(CORNER_VALUES, attrs, ["A", "B", "C"])
+    result = decompose(d, ["A", "B", "C"], MeasureSpec(theil()))
+    assert sum(part for _, _, part in result.nodes) == pytest.approx(result.total, abs=1e-12)
+
+
 def test_minkowski_single_and_bottom():
     z = chain_of([1, 3])
     zb = canonical_chain(bottom())
