@@ -75,7 +75,8 @@ def ingest(path: str, value_col: str) -> Dataset:
     without quotes or carriage returns is read column by column; any other
     text, and any text with a row the columnar reader does not accept, is
     read again row by row, which gives the same Dataset and raises every
-    line-numbered input error. A UTF-8 byte order mark is skipped.
+    line-numbered input error. A UTF-8 byte order mark is skipped; a byte
+    that is not UTF-8 is reported by its offset in the file and its line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -83,9 +84,26 @@ def ingest(path: str, value_col: str) -> Dataset:
             if columns is None:
                 fh.seek(0)
                 columns = _read_rows(fh, value_col)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(_decode_error(path, exc)) from exc
+    except (OSError, csv.Error) as exc:
         raise InputError(str(exc)) from exc
     return Dataset(*columns)
+
+
+def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
+    """The decode error of the whole file, whose position is the byte's
+    offset in the file, with the byte's line; `exc` counts positions from
+    the start of the text decoder's chunk."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        # line breaks as the csv reader counts them: \n, \r\n or a lone \r
+        line = len((raw[: whole.start] + b".").splitlines())
+        return f"{whole} (line {line})"
+    return str(exc)
 
 
 def _check_header(header: list[str], value_col: str) -> None:

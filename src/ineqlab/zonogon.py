@@ -14,8 +14,11 @@ import numpy as np
 
 from .population import WeightedColumns
 
-# Two edge vectors count as parallel when their cross product vanishes
-# relative to their magnitudes; avoids dividing by zero-weight columns.
+# Two edge vectors u, v count as parallel when |u x v| <= MERGE_TOL *
+# max(1, |u||v|), which avoids dividing by zero-weight columns. Wherever
+# |u||v| <= 1, as for every column of size 1/n, this is an absolute 1e-12
+# on the cross product, not one relative to the magnitudes; the ROADMAP item
+# on an exact, scale-free chain construction replaces it.
 MERGE_TOL = 1e-12
 # A vertex is "on" a chain when its vertical distance is within this bound.
 CONTAIN_TOL = 1e-9
@@ -71,18 +74,38 @@ class Zonogon:
 
 
 def _merge_parallel(vectors: np.ndarray) -> np.ndarray:
-    """Sum runs of slope-sorted vectors whose slopes coincide."""
+    """Sum runs of slope-sorted vectors whose slopes coincide.
+
+    A vector v joins the run when its cross product with the run's sum u
+    satisfies |u x v| <= MERGE_TOL * max(1, |u||v|). Wherever |u||v| <= 1,
+    which holds for every column of size 1/n, that is an absolute 1e-12
+    cutoff, and distinct slopes merge at large n (see the ROADMAP item on an
+    exact, scale-free chain construction).
+
+    One pass over Python floats; the run's sum is kept as two floats and
+    stored only where the run ends. The arithmetic is that of a loop over
+    numpy scalars, with the scale from np.hypot wherever it may exceed 1,
+    so the merges and sums equal that loop's bit for bit (the oracle in
+    tests/test_zonogon.py).
+    """
     if len(vectors) <= 1:
         return vectors
-    out = [vectors[0].copy()]
-    for v in vectors[1:]:
-        u = out[-1]
-        cross = u[0] * v[1] - u[1] * v[0]
-        scale = max(1.0, float(np.hypot(*u) * np.hypot(*v)))
-        if abs(cross) <= MERGE_TOL * scale:
-            out[-1] = u + v
+    it = iter(vectors.tolist())
+    ux, uy = next(it)
+    out = []
+    for vx, vy in it:
+        cross = abs(ux * vy - uy * vx)
+        # a squared product below 1/4 puts |u||v| below 1/2, so the scale is 1
+        if cross <= MERGE_TOL or (
+            (ux * ux + uy * uy) * (vx * vx + vy * vy) >= 0.25
+            and cross <= MERGE_TOL * max(1.0, float(np.hypot(ux, uy) * np.hypot(vx, vy)))
+        ):
+            ux += vx
+            uy += vy
         else:
-            out.append(v.copy())
+            out.append((ux, uy))
+            ux, uy = vx, vy
+    out.append((ux, uy))
     return np.array(out)
 
 

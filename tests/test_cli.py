@@ -399,17 +399,25 @@ def test_field_size_limit_is_the_row_readers():
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, offset, line",
     # 0xff in the header line, and 0xff after the first 64 KB block of lines
-    [b"g\xff,income\na,1\n", b"g,income\n" + b"a,1\n" * 20_000 + b"\xff,2\n"],
+    [
+        (b"g\xff,income\na,1\n", 1, 1),
+        (b"g,income\n" + b"a,1\n" * 20_000 + b"\xff,2\n", 80_009, 20_002),
+    ],
     ids=["header", "later-block"],
 )
-def test_non_utf8_input_exit_2(runner, tmp_path, data):
+def test_non_utf8_input_exit_2(runner, tmp_path, data, offset, line):
     p = tmp_path / "d.csv"
-    p.write_bytes(data)
-    res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
-    assert res.exit_code == 2
-    assert "Error: 'utf-8' codec can't decode byte 0xff" in res.output
+    # the offset counts the bytes of the file, a byte order mark included
+    for bom in [b"", b"\xef\xbb\xbf"]:
+        p.write_bytes(bom + data)
+        res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
+        assert res.exit_code == 2
+        assert res.output.endswith(
+            "Error: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(bom) + offset}: invalid start byte (line {line})\n"
+        )
 
 
 def test_field_over_the_size_limit_exit_2(runner, tmp_path):

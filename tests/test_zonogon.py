@@ -27,6 +27,7 @@ from ineqlab import (
     population_matrix,
     theil,
 )
+from ineqlab.zonogon import MERGE_TOL, _merge_parallel
 from conftest import chain_value, random_dataset, upper_hull
 
 
@@ -326,3 +327,79 @@ def test_canonical_chain_concave_property(values):
     assert np.all(np.diff(slopes) < 1e-9)
     assert z.vertices[0].tolist() == [0.0, 0.0]
     assert z.vertices[-1].tolist() == [1.0, 1.0]
+
+
+def _merge_parallel_oracle(vectors):
+    """The merge loop over numpy scalars, kept as the reference that
+    `_merge_parallel` must match bit for bit."""
+    if len(vectors) <= 1:
+        return vectors
+    out = [vectors[0].copy()]
+    for v in vectors[1:]:
+        u = out[-1]
+        cross = u[0] * v[1] - u[1] * v[0]
+        scale = max(1.0, float(np.hypot(*u) * np.hypot(*v)))
+        if abs(cross) <= MERGE_TOL * scale:
+            out[-1] = u + v
+        else:
+            out.append(v.copy())
+    return np.array(out)
+
+
+def _slope_sorted(vectors):
+    """Nonzero vectors in the order canonical_chain gives them."""
+    v = np.array(vectors, dtype=float).reshape(-1, 2)
+    v = v[(v[:, 0] > 0) | (v[:, 1] > 0)]
+    return v[np.argsort(-np.arctan2(v[:, 1], v[:, 0]), kind="stable")]
+
+
+# zero weights (vertical columns), zero shares, and sizes past 1, where
+# |u||v| > 1 sets the scale of the merge cutoff
+_COORD = st.one_of(st.just(0.0), st.floats(1e-9, 2.0), st.sampled_from([0.25, 0.5, 1.0]))
+
+
+@st.composite
+def _pooled_vectors(draw):
+    """Vectors drawn with repetition from a small pool: exact duplicates."""
+    pool = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=6))
+    return _slope_sorted(draw(st.lists(st.sampled_from(pool), max_size=30)))
+
+
+@st.composite
+def _near_cutoff_pairs(draw):
+    """Two vectors whose cross product is within a few rounding steps of
+    MERGE_TOL times the scale. For small vectors a step is a few ulps of
+    1e-12; vectors past size 1 take the scale branch. In slope order the
+    cross product is about -1e-12; the reverse order, about +1e-12, is what
+    rounding in the angles can give for nearly parallel vectors."""
+    size = draw(st.sampled_from([1e-6, 1e-3, 1.0, 2.0]))
+    ux, uy, vx = (draw(st.floats(size / 8, size)) for _ in range(3))
+    scale = max(1.0, float(np.hypot(ux, uy) * np.hypot(vx, vx * uy / ux)))
+    vy = (MERGE_TOL * scale + uy * vx) / ux
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        vy = np.nextafter(vy, np.sign(steps) * np.inf)
+    pair = np.array([(vx, vy), (ux, uy)])
+    return pair if draw(st.booleans()) else pair[::-1].copy()
+
+
+@st.composite
+def _columns_of_size_1_over_n(draw):
+    """One column of weight 1/n per record, as canonical_chain sees a
+    population of 1 to 10,000 records."""
+    n = draw(st.integers(1, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.lognormal(size=n)
+    if draw(st.booleans()):  # few distinct incomes: long runs of equal slopes
+        x = np.round(x, draw(st.integers(0, 2)))
+    if draw(st.booleans()):  # zero incomes: zero-share columns
+        x[rng.random(n) < 0.05] = 0.0
+    if x.sum() == 0:
+        x[0] = 1.0
+    return _slope_sorted(np.column_stack([np.full(n, 1.0 / n), x / x.sum()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_pooled_vectors(), _near_cutoff_pairs(), _columns_of_size_1_over_n()))
+def test_merge_parallel_matches_the_numpy_scalar_loop(vectors):
+    assert np.array_equal(_merge_parallel(vectors), _merge_parallel_oracle(vectors))
