@@ -28,6 +28,7 @@ from .measures import (
 )
 from .population import (
     Dataset,
+    Encoded,
     Record,
     WeightedColumns,
     bottom,

@@ -26,7 +26,13 @@ from .errors import (
     TransformDomainError,
 )
 from .measures import MeasureSpec, atkinson, inequality, parse_measure
-from .population import Dataset, grouped_columns, population_matrix
+from .population import (
+    Dataset,
+    _level_encoder,
+    _sorted_encoding,
+    grouped_columns,
+    population_matrix,
+)
 from .shapley import _all_values, _phi
 # not called here; perfbench/run.py traces calls through these names
 from .shapley import game_synergy, shapley_values  # noqa: F401
@@ -72,11 +78,12 @@ def ingest(path: str, value_col: str) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset.
 
     Every column other than the value column becomes an attribute. A CSV
-    without quotes or carriage returns is read column by column; any other
-    text, and any text with a row the columnar reader does not accept, is
-    read again row by row, which gives the same Dataset and raises every
-    line-numbered input error. A UTF-8 byte order mark is skipped; a byte
-    that is not UTF-8 is reported by its offset in the file and its line.
+    without quotes or carriage returns is read column by column, each
+    attribute as `Encoded` level codes; any other text, and any text with
+    a row the columnar reader does not accept, is read again row by row,
+    which gives the same Dataset and raises every line-numbered input
+    error. A UTF-8 byte order mark is skipped; a byte that is not UTF-8 is
+    reported by its offset in the file and its line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -120,8 +127,8 @@ _BLOCK_CHARS = 1 << 16
 
 
 def _read_columns(fh, value_col: str):
-    """Values, attribute lists and names of a CSV without quotes or
-    carriage returns, or None where `_read_rows` must read it.
+    """Values, `Encoded` attribute columns and names of a CSV without quotes
+    or carriage returns, or None where `_read_rows` must read it.
 
     Reads blocks of whole lines and splits each block into one flat list
     of fields. Raises only the header errors; every row it does not take
@@ -138,10 +145,12 @@ def _read_columns(fh, value_col: str):
     vi = header.index(value_col)
     attr_names = [h for h in header if h != value_col]
     attr_idx = [header.index(a) for a in attr_names]
-    # one string object per distinct level of each attribute
-    levels: list[dict[str, str]] = [{} for _ in attr_names]
-    attrs: list[list[str]] = [[] for _ in attr_names]
-    blocks = []
+    encoders = [_level_encoder() for _ in attr_names]
+    # the values and, per attribute, the first-seen level codes of each
+    # block; each list starts with an empty block, so that a CSV without
+    # rows concatenates too
+    blocks = [np.empty(0)]
+    codes = [[np.empty(0, np.uint8)] for _ in attr_names]
     while lines := fh.readlines(_BLOCK_CHARS):
         text = "".join(lines)
         if '"' in text or "\r" in text:
@@ -163,13 +172,17 @@ def _read_columns(fh, value_col: str):
         if not np.all(np.isfinite(block)) or np.any(block < 0):
             return None
         blocks.append(block)
-        for j, level, column in zip(attr_idx, levels, attrs):
+        for j, code_of, column in zip(attr_idx, encoders, codes):
             cells = flat[j::k]
             if "" in cells:
                 return None
-            column.extend(map(level.setdefault, cells, cells))
-    values = np.concatenate(blocks) if blocks else np.empty(0)
-    return values, dict(zip(attr_names, attrs)), attr_names
+            first_seen = np.fromiter(map(code_of.__getitem__, cells), np.intp, len(cells))
+            column.append(first_seen.astype(np.min_scalar_type(len(code_of))))
+    attrs = {
+        a: _sorted_encoding(code_of, np.concatenate(column))
+        for a, code_of, column in zip(attr_names, encoders, codes)
+    }
+    return np.concatenate(blocks), attrs, attr_names
 
 
 def _read_rows(fh, value_col: str):

@@ -8,8 +8,10 @@ anchored at (0,0) and ending at (1,1).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import count
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,14 +33,60 @@ class Record:
     attributes: Mapping[str, str] = field(default_factory=dict)
 
 
+class Encoded(NamedTuple):
+    """An attribute column given by its levels, strictly increasing
+    strings, and each record's level code, an integer in
+    range(len(levels))."""
+
+    levels: Sequence[str]
+    codes: np.ndarray
+
+
+def _level_encoder() -> defaultdict:
+    """A dict that gives each label it has not seen the next code, from 0:
+    its keys are the distinct labels in first-seen order."""
+    return defaultdict(count().__next__)
+
+
+def _sorted_encoding(code_of: Mapping[str, int], codes: np.ndarray) -> Encoded:
+    """The labels of a `_level_encoder` as sorted levels, and its codes
+    remapped to them, in the smallest unsigned dtype that holds the level
+    count."""
+    seen = list(code_of)
+    order = sorted(range(len(seen)), key=seen.__getitem__)
+    rank = np.empty(len(seen), dtype=np.min_scalar_type(len(seen)))
+    rank[order] = np.arange(len(seen))
+    return Encoded([seen[i] for i in order], rank[codes])
+
+
+def _checked_encoding(name: str, column: Encoded, n: int) -> Encoded:
+    """A column given encoded, for `n` records, checked: its levels as a
+    list and an own read-only copy of its codes."""
+    levels = list(column.levels)
+    codes = np.asarray(column.codes)
+    if codes.shape != (n,):
+        raise UnknownAttribute(f"attribute {name!r} has {codes.size} values for {n} records")
+    if not all(isinstance(level, str) for level in levels) or any(
+        a >= b for a, b in zip(levels, levels[1:])
+    ):
+        raise ValueError(f"levels of attribute {name!r} must be strictly increasing strings")
+    if codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(levels):
+        raise ValueError(f"codes of attribute {name!r} must be integers in range({len(levels)})")
+    codes = codes.astype(np.min_scalar_type(len(levels)))
+    codes.flags.writeable = False
+    return Encoded(levels, codes)
+
+
 class Dataset:
     """Column-oriented store of records.
 
     Invariants: non-empty, all indicators finite and non-negative, at least
     one indicator strictly positive, every record carries the same attributes.
-    Attribute columns are read-only copies, encoded on first grouping; the
-    joint cell table of the last grouping that needed a new one is kept
-    with them.
+    An attribute column is given as values, kept as a read-only copy and
+    encoded on first grouping, or as an `Encoded` column, kept as its
+    levels and a read-only copy of its codes and decoded on first access
+    to `attributes`. The joint cell table of the last grouping that needed
+    a new one is kept with them.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -52,7 +100,12 @@ class Dataset:
         if not np.any(ind > 0):
             raise DegeneratePopulation("all indicator values are zero")
         attributes = {} if attributes is None else dict(attributes)
+        columns: dict[str, np.ndarray] = {}
+        encoded: dict[str, Encoded] = {}
         for name, col in attributes.items():
+            if isinstance(col, Encoded):
+                encoded[name] = _checked_encoding(name, col, ind.size)
+                continue
             # an own read-only copy, so the cached codes cannot go stale
             col = np.array(col, dtype=object)
             if col.shape != ind.shape:
@@ -60,7 +113,7 @@ class Dataset:
                     f"attribute {name!r} has {col.size} values for {ind.size} records"
                 )
             col.flags.writeable = False
-            attributes[name] = col
+            columns[name] = col
         if attribute_names is None:
             attribute_names = tuple(attributes)
         else:
@@ -68,9 +121,10 @@ class Dataset:
             if set(attribute_names) != set(attributes):
                 raise UnknownAttribute("attribute_names do not match attribute columns")
         self.indicators = ind
-        self.attributes = attributes
         self.attribute_names = attribute_names
-        self._encoded: dict[str, tuple[list[str], np.ndarray]] = {}
+        self._columns = columns
+        self._encoded = encoded
+        self._attributes: dict[str, np.ndarray] | None = None
         self._table: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -98,18 +152,42 @@ class Dataset:
     def mean(self) -> float:
         return float(self.indicators.mean())
 
-    def scaled(self, k: float) -> "Dataset":
-        return Dataset(self.indicators * k, self.attributes, self.attribute_names)
+    @property
+    def attributes(self) -> dict[str, np.ndarray]:
+        """Each attribute column as a read-only object array; a column
+        given encoded holds its level strings, decoded on first access."""
+        if self._attributes is None:
+            self._attributes = {}
+            for name in self.attribute_names:
+                col = self._columns.get(name)
+                if col is None:
+                    levels, codes = self._encoded[name]
+                    col = np.array(levels, dtype=object)[codes]
+                    col.flags.writeable = False
+                self._attributes[name] = col
+        return self._attributes
 
-    def _encode(self, attr: str) -> tuple[list[str], np.ndarray]:
-        """Sorted string levels of an attribute and each record's level code.
+    def scaled(self, k: float) -> "Dataset":
+        """The Dataset with every indicator times `k`; each column is passed
+        on as it was given, so an encoded column is not encoded again."""
+        columns = {
+            name: self._columns[name] if name in self._columns else self._encoded[name]
+            for name in self.attribute_names
+        }
+        return Dataset(self.indicators * k, columns, self.attribute_names)
+
+    def _encode(self, attr: str) -> Encoded:
+        """Sorted levels of an attribute, the `str` of each distinct label,
+        and each record's level code.
 
         Encoded on first use and kept; codes take the smallest unsigned
         dtype that holds the level count.
         """
         if attr not in self._encoded:
-            levels, codes = np.unique(self.attributes[attr].astype(str), return_inverse=True)
-            self._encoded[attr] = levels.tolist(), codes.astype(np.min_scalar_type(len(levels)))
+            col = self._columns[attr]
+            code_of = _level_encoder()
+            codes = np.fromiter(map(code_of.__getitem__, map(str, col)), np.intp, col.size)
+            self._encoded[attr] = _sorted_encoding(code_of, codes)
         return self._encoded[attr]
 
     def _joint(self, attrs: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -216,7 +294,7 @@ def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:
 def _ordered_attrs(pop: Dataset, attrs: Iterable[str]) -> tuple[str, ...]:
     attrs = set(attrs)
     for a in attrs:
-        if a not in pop.attributes:
+        if a not in pop.attribute_names:
             raise UnknownAttribute(f"unknown attribute {a!r}")
     return tuple(a for a in pop.attribute_names if a in attrs)
 

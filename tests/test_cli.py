@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from jsonschema import validate
 
 import ineqlab.shapley
-from ineqlab import cli
+from ineqlab import Dataset, IneqError, cli
 from ineqlab.cli import InputError, _read_columns, _read_rows, main
 
 XOR_CSV = "region,industry,income\nr1,i1,1\nr1,i2,3\nr2,i1,3\nr2,i2,1\n"
@@ -146,6 +146,15 @@ def test_subgroup_output(runner, tmp_path):
     assert payload["between"] == pytest.approx(0.056633)
     assert payload["reconstruction"] == pytest.approx(0.187445)
     assert payload["total"] == pytest.approx(0.187445)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["columnar", "row-reader"])
+def test_subgroup_keeps_labels_differing_by_trailing_nul(runner, tmp_path, quoted):
+    p = tmp_path / "d.csv"
+    p.write_text("g,income\n" + ('"a\x00",1\n' if quoted else "a\x00,1\n") + "a,2\nb,3\n")
+    res = invoke(runner, ["subgroup", "-i", str(p), "--value-col", "income", "--group-by", "g"])
+    assert res.exit_code == 0
+    assert [g["group"] for g in json.loads(res.output)["within"]] == ["a", "a\x00", "b"]
 
 
 def test_subgroup_total_is_the_measure_at_every_digit_of_c(runner, tmp_path):
@@ -499,12 +508,34 @@ def _read(reader, text):
         return exc.message
 
 
-def _same_reading(a, b):
+def _dataset(reading):
+    try:
+        return Dataset(*reading)
+    except IneqError as exc:
+        return str(exc)
+
+
+def _same_reading(columns, rows):
+    """The reading of `_read_columns` and that of `_read_rows` have the same
+    values and names, and give Datasets with the same levels and codes per
+    attribute, whose decoded attributes are the row reader's lists."""
+    if isinstance(columns, str) or isinstance(rows, str):
+        return columns == rows
+    (vc, _, nc), (vr, attrs, nr) = columns, rows
+    if np.asarray(vc, dtype=float).tobytes() != np.asarray(vr, dtype=float).tobytes():
+        return False
+    if list(nc) != list(nr):
+        return False
+    a, b = _dataset(columns), _dataset(rows)
     if isinstance(a, str) or isinstance(b, str):
         return a == b
-    (va, aa, na), (vb, ab, nb) = a, b
-    va, vb = np.asarray(va, dtype=float), np.asarray(vb, dtype=float)
-    return va.tobytes() == vb.tobytes() and aa == ab and list(na) == list(nb)
+    for name in nr:
+        (la, ca), (lb, cb) = a._encode(name), b._encode(name)
+        if la != lb or ca.dtype != cb.dtype or not np.array_equal(ca, cb):
+            return False
+        if a.attributes[name].tolist() != attrs[name]:
+            return False
+    return True
 
 
 @settings(max_examples=500, deadline=None)

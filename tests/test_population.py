@@ -11,6 +11,7 @@ from ineqlab import (
     Dataset,
     DegeneratePopulation,
     EmptyPopulation,
+    Encoded,
     MeasureSpec,
     NegativeComponent,
     Record,
@@ -31,6 +32,7 @@ from ineqlab import (
     subgroup_decompose,
     theil,
 )
+from ineqlab import population
 from ineqlab.population import _cells
 from conftest import random_dataset
 
@@ -122,6 +124,77 @@ def test_attribute_columns_are_read_only_copies():
     assert group_by(d, {"A"})[0].pairs() == cols.pairs() == [(0.5, 0.25), (0.5, 0.75)]
     with pytest.raises(ValueError):
         d.attributes["A"][0] = "b"
+
+
+def test_labels_differing_by_trailing_nul_are_distinct():
+    d = Dataset([1, 2, 3], {"A": ["a", "a\x00", "b"]})
+    assert [k for k, _ in group_by(d, {"A"})[1]] == [("a",), ("a\x00",), ("b",)]
+
+
+def unique_encoding(labels):
+    """The encoder before the dict encoder: numpy's sorted unique strings.
+    Its `U` dtype drops trailing NUL characters."""
+    levels, codes = np.unique(np.array(labels, dtype=object).astype(str), return_inverse=True)
+    return levels.tolist(), codes.astype(np.min_scalar_type(len(levels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.text(st.characters(exclude_characters="\x00"), max_size=4),
+            st.integers(-1000, 10**20),
+            st.floats(),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_encoding_is_numpys_on_nul_free_labels(labels):
+    d = Dataset(np.ones(len(labels)), {"A": labels})
+    (levels, codes), (want_levels, want_codes) = d._encode("A"), unique_encoding(labels)
+    assert levels == want_levels
+    assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+
+
+@pytest.mark.parametrize(
+    "column, error",
+    [
+        (Encoded(["a", "b"], [0, 2, 1]), ValueError),
+        (Encoded(["a", "b"], [0, -1, 1]), ValueError),
+        (Encoded(["a", "b"], [0.0, 1.0, 1.0]), ValueError),
+        (Encoded(["b", "a"], [0, 1, 1]), ValueError),
+        (Encoded(["a", "a"], [0, 1, 1]), ValueError),
+        (Encoded([1, 2], [0, 1, 1]), ValueError),
+        (Encoded(["a", "b"], [0, 1]), UnknownAttribute),
+    ],
+    ids=["code-too-large", "negative-code", "float-codes", "unsorted-levels",
+         "repeated-levels", "non-string-levels", "wrong-length"],
+)
+def test_encoded_column_validation(column, error):
+    with pytest.raises(error):
+        Dataset([1, 2, 3], {"A": column})
+
+
+def test_encoded_columns_decode_read_only_and_scale_without_encoding(monkeypatch):
+    codes = np.array([1, 0, 1, 2], dtype=np.uint8)
+    d = Dataset([1, 2, 3, 4], {"A": Encoded(["x", "y", "z"], codes), "B": ["p", "q", "p", "q"]})
+    codes[:] = 0  # the Dataset keeps its own copy
+    assert list(d._encoded) == ["A"]
+    assert d.attributes["A"].tolist() == ["y", "x", "y", "z"]
+    with pytest.raises(ValueError):
+        d.attributes["A"][0] = "x"
+    plain = Dataset([1, 2, 3, 4], {"A": ["y", "x", "y", "z"], "B": ["p", "q", "p", "q"]})
+    assert grouped_columns(d, ["A", "B"]).pairs() == grouped_columns(plain, ["A", "B"]).pairs()
+
+    scaled = d.scaled(2.0)
+    assert list(scaled._encoded) == ["A"]
+
+    def no_encoding():
+        raise AssertionError("encoded again")
+
+    monkeypatch.setattr(population, "_level_encoder", no_encoding)
+    assert grouped_columns(scaled, ["A"]).pairs() == grouped_columns(plain, ["A"]).pairs()
 
 
 def test_weighted_columns_validation():
