@@ -129,14 +129,31 @@ class MeasureSpec:
 
 
 def _r(x: np.ndarray, y: np.ndarray, spec: MeasureSpec) -> np.ndarray:
-    """r of each column (x, y): a*f(x/a) with a = p*x + (1-p)*y, x times
-    the tail slope where a vanishes with x > 0, and 0 for the zero column."""
+    """r of each column (x, y): a*f(x/a) with a = p*x + (1-p)*y, a times
+    f's limit at zero where x/a is 0, x times the tail slope where a
+    vanishes with x > 0, and 0 for the zero column.
+
+    One pass over whole columns: f.func sees every quotient at once, with
+    1 standing in where the quotient is 0 (it may underflow with x > 0) or
+    a is not positive, so a user generator only ever sees t > 0. The two
+    limit cases are written over the result only where they occur. Each
+    element gets the bits the masked evaluation gives.
+    """
+    f = spec.f
     a = spec.p * x + (1 - spec.p) * y
     pos = a > 0
-    terms = np.zeros_like(a)
-    terms[pos] = a[pos] * spec.f(x[pos] / a[pos])
-    vanished = ~pos & (x > 0)
-    terms[vanished] = x[vanished] * spec.f.tail_slope
+    t = np.divide(x, a, out=np.ones_like(a), where=pos)
+    zero = t == 0
+    any_zero = zero.any()
+    if any_zero:
+        t[zero] = 1.0
+    terms = np.multiply(a, f.func(t), out=t)  # t is dead once f has read it
+    if any_zero:
+        terms[zero] = a[zero] * f.at_zero
+    if not pos.all():
+        terms[~pos] = 0.0
+        tail = ~pos & (x > 0)
+        terms[tail] = x[tail] * f.tail_slope
     return terms
 
 
@@ -151,9 +168,11 @@ def r_fp(v: tuple[float, float], spec: MeasureSpec) -> float:
 def inequality(cols: WeightedColumns, spec: MeasureSpec) -> float:
     """Sum of r over the columns; +inf is propagated explicitly."""
     terms = _r(cols.weights, cols.shares, spec)
-    if np.any(np.isinf(terms)):
+    total = float(terms.sum())
+    # a finite sum has no infinite term; only a non-finite one needs the scan
+    if not math.isfinite(total) and np.isinf(terms).any():
         return math.inf
-    return float(terms.sum())
+    return total
 
 
 def classic_index(pop: Dataset, gen: Generator) -> float:

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -251,6 +254,28 @@ def test_decompose_keeps_a_tiny_share(runner, tmp_path):
     )
     assert res.exit_code == 0
     assert isinstance(json.loads(res.output)["components"]["redundant"], float)
+
+
+def test_decompose_child_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 16 ms of every decompose process
+    golden = Path(__file__).resolve().parent / "golden" / "population.csv"
+    args = ["decompose", "-i", str(golden), "--value-col", "income", "--attrs", "tier,region,size"]
+    code = (
+        "import sys\n"
+        "from ineqlab.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_unknown_measure_exit_2(runner, xor_file):

@@ -1,9 +1,12 @@
 """Generators, the vector measure, population measures and transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ineqlab import (
     Dataset,
@@ -25,6 +28,7 @@ from ineqlab import (
     r_fp,
     theil,
 )
+from ineqlab.measures import _r
 from conftest import random_dataset
 
 # frozen via the direct textbook formulas (independent script)
@@ -188,3 +192,78 @@ def test_parse_measure_grammar():
 def test_parse_measure_rejects(bad):
     with pytest.raises(InvalidMeasure):
         parse_measure(bad)
+
+
+# the masked-copy evaluation of r, kept verbatim: _r must match it bit for bit
+def _masked_generator_call(f, t):
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty_like(t)
+    zero = t == 0
+    out[zero] = f.at_zero
+    if np.any(~zero):
+        out[~zero] = f.func(t[~zero])
+    return float(out[0]) if scalar else out
+
+
+def _masked_r(x, y, spec):
+    a = spec.p * x + (1 - spec.p) * y
+    pos = a > 0
+    terms = np.zeros_like(a)
+    terms[pos] = a[pos] * _masked_generator_call(spec.f, x[pos] / a[pos])
+    vanished = ~pos & (x > 0)
+    terms[vanished] = x[vanished] * spec.f.tail_slope
+    return terms
+
+
+def _positive_only(t):
+    # a user generator must see only positive quotients: no 0, no NaN from 0/0
+    assert np.all(t > 0), t
+    return (t - 1) ** 2
+
+
+_KERNEL_GENERATORS = {
+    "pietra": pietra(),
+    "theil": theil(),
+    "mld": mld(),
+    "ge:2": ge(2),
+    "ge:-1": ge(-1),
+    "ge:0.5": ge(0.5),
+    "ge:3": ge(3),
+    "custom": custom(_positive_only, strictly_convex=True),
+}
+_components = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(_KERNEL_GENERATORS)),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.lists(st.tuples(_components, _components), min_size=1, max_size=40),
+)
+# 5e-324/2 underflows to 0: the limit at zero, not f(0) = 0*log(0) = NaN
+@example("mld", 0.0, [(5e-324, 2.0)])
+@example("theil", 0.25, [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (5e-324, 1e300)])
+def test_r_is_the_masked_kernel_bit_for_bit(name, p, columns):
+    spec = MeasureSpec(_KERNEL_GENERATORS[name], p)
+    x, y = (np.array(c, dtype=float) for c in zip(*columns))
+    with np.errstate(all="ignore"):
+        got, want = _r(x, y, spec), _masked_r(x, y, spec)
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("measure", ["theil", "mld", "pietra", "ge:2@p=0.25"])
+def test_inequality_temporaries_stay_under_five_columns(measure):
+    n = 10**6
+    cols = population_matrix(Dataset.from_values(np.random.default_rng(0).lognormal(size=n)))
+    spec = parse_measure(measure)[1]
+    tracemalloc.start()
+    try:
+        inequality(cols, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n, f"{peak / (8 * n):.2f} float arrays of n"
