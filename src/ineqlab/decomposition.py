@@ -15,9 +15,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .errors import InfiniteMeasure, InvalidMeasure, TooManyAttributes
-from .measures import MeasureSpec, atkinson_transform, ge, inequality
+import numpy as np
+
+from .errors import InfiniteMeasure, InvalidMeasure, NegativeComponent, TooManyAttributes
+from .measures import MeasureSpec, _r, _summed, atkinson_transform, ge, inequality
 from .population import (
+    _SUM_TOL,
     Dataset,
     WeightedColumns,
     _cells,
@@ -211,24 +214,52 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
 
     Within-group weights are pshare^(1-c) * ishare^c; the reconstruction
     between + sum(w_g * within_g) equals the total GE_c.
+
+    The records are split into groups by one sort, each group's in record
+    order, and r is taken over all groups' columns in one pass. A group's
+    indicator sum and within value are sums over its run of that pass, so
+    each has the bits of the group's own population matrix and
+    `inequality`.
     """
     spec = MeasureSpec(ge(c))
-    codes, keys, counts, sums = _cells(pop, [attr])
-    cols = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
+    cells = _cells(pop, [attr])
+    cols = WeightedColumns(cells.counts / len(pop), cells.sums / pop.indicators.sum())
     between = inequality(cols, spec)
     total = inequality(population_matrix(pop), spec)
+    # a zero-income group is internally uniform at zero: its value is 0, so
+    # it adds nothing to the reconstruction (inf * 0 would make it NaN when
+    # c <= 0); only the other groups' records are measured
+    live = cols.shares > 0
+    order = cells.order()
+    if not live.all():
+        order = order[np.repeat(live, cells.counts)]
+    sizes = cells.counts[live]
+    stops = np.cumsum(sizes)
+    runs = list(zip((stops - sizes).tolist(), stops.tolist()))
+    # the parent Dataset's indicators are finite and non-negative, and a
+    # live group has a positive sum, so each group's columns are those of a
+    # valid population; the column checks that remain are WeightedColumns'
+    x = pop.indicators[order]
+    del order
+    group_sums = np.array([x[a:b].sum() for a, b in runs])
+    shares = np.divide(x, np.repeat(group_sums, sizes), out=x)
+    weights = np.repeat(1.0 / sizes, sizes)
+    if np.any(weights < 0) or np.any(shares < 0):
+        raise NegativeComponent("weights and shares must be non-negative")
+    for (a, b), size in zip(runs, sizes.tolist()):
+        tol = _SUM_TOL * max(1, size)
+        if abs(weights[a:b].sum() - 1.0) > tol or abs(shares[a:b].sum() - 1.0) > tol:
+            raise ValueError("weights and shares must each sum to one")
+    terms = _r(weights, shares, spec)
+    values = iter([_summed(terms[a:b]) for a, b in runs])
     within = []
     recon = between
-    for g, key in enumerate(keys):
-        pshare, ishare = cols.weights[g], cols.shares[g]
+    for key, pshare, ishare in zip(cells.keys(), cols.weights, cols.shares):
         if ishare == 0:
-            # a zero-income group is internally uniform at zero: its value
-            # is 0, so it adds nothing to the reconstruction (inf * 0 would
-            # make it NaN when c <= 0)
             within.append((key, 0.0 if c > 0 else math.inf, 0.0))
             continue
         weight = pshare ** (1.0 - c) * ishare**c
-        value = inequality(population_matrix(Dataset(pop.indicators[codes == g])), spec)
+        value = next(values)
         within.append((key, weight, value))
         recon += weight * value
     return SubgroupResult(between, tuple(within), recon, total)

@@ -165,14 +165,18 @@ def r_fp(v: tuple[float, float], spec: MeasureSpec) -> float:
     return float(_r(np.array([x]), np.array([y]), spec)[0])
 
 
-def inequality(cols: WeightedColumns, spec: MeasureSpec) -> float:
-    """Sum of r over the columns; +inf is propagated explicitly."""
-    terms = _r(cols.weights, cols.shares, spec)
+def _summed(terms: np.ndarray) -> float:
+    """Sum of r terms; +inf is propagated explicitly."""
     total = float(terms.sum())
     # a finite sum has no infinite term; only a non-finite one needs the scan
     if not math.isfinite(total) and np.isinf(terms).any():
         return math.inf
     return total
+
+
+def inequality(cols: WeightedColumns, spec: MeasureSpec) -> float:
+    """Sum of r over the columns; +inf is propagated explicitly."""
+    return _summed(_r(cols.weights, cols.shares, spec))
 
 
 def classic_index(pop: Dataset, gen: Generator) -> float:

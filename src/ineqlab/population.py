@@ -125,7 +125,7 @@ class Dataset:
         self._columns = columns
         self._encoded = encoded
         self._attributes: dict[str, np.ndarray] | None = None
-        self._table: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
+        self._table: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> "Dataset":
@@ -190,21 +190,25 @@ class Dataset:
             self._encoded[attr] = _sorted_encoding(code_of, codes)
         return self._encoded[attr]
 
-    def _joint(self, attrs: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    def _joint(
+        self, attrs: tuple[str, ...]
+    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
         """Joint cell table of a grouping by `attrs` (in Dataset order).
 
         Returns the table's attributes, each record's cell index (smallest
-        unsigned dtype) and each cell's level code per attribute (one row
-        per attribute). The table is kept; a grouping whose attributes are
-        not all in it replaces it with a table over that grouping's
+        unsigned dtype), each cell's level code per attribute (one row per
+        attribute) and each cell's record count, read off the sort that
+        builds the table. The table is kept; a grouping whose attributes
+        are not all in it replaces it with a table over that grouping's
         attributes only, built with one sort of the records' code rows, so
         only grouped attributes are ever encoded.
         """
         if self._table is None or not set(attrs) <= set(self._table[0]):
             codes = np.array([self._encode(a)[1] for a in attrs]).reshape(len(attrs), len(self))
-            index, digits = _distinct_columns(codes)
-            self._table = attrs, index.astype(np.min_scalar_type(digits.shape[1])), digits
+            index, digits, counts = _distinct_columns(codes)
+            self._table = attrs, index.astype(np.min_scalar_type(len(counts))), digits, counts
         return self._table
+
 
 class WeightedColumns:
     """Normalized (weight, share) columns; both rows sum to one."""
@@ -244,51 +248,78 @@ def bottom() -> WeightedColumns:
     return WeightedColumns([1.0], [1.0])
 
 
-def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct columns of a 2-d array of small integer codes.
 
-    Returns each column's index among the distinct columns and the distinct
+    Returns each column's index among the distinct columns, the distinct
     columns themselves, in lexicographic order with the first row most
-    significant. Zero rows give one empty column: grouping by no attributes
-    gives the single cell ().
+    significant, and how many columns each one stands for. Zero rows give
+    one empty column: grouping by no attributes gives the single cell ().
     """
-    order = np.lexsort(rows[::-1]) if len(rows) else np.arange(rows.shape[1])
+    n = rows.shape[1]
+    order = np.lexsort(rows[::-1]) if len(rows) else np.arange(n)
     ordered = rows[:, order]
-    starts = np.ones(rows.shape[1], dtype=bool)
-    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    index = np.empty(rows.shape[1], dtype=np.intp)
-    index[order] = np.cumsum(starts) - 1
-    return index, ordered[:, starts]
+    # where each run of equal sorted columns starts, and one past the end,
+    # so the start positions bound the runs
+    starts = np.ones(n + 1, dtype=bool)
+    starts[1:n] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    index = np.empty(n, dtype=np.intp)
+    index[order] = np.cumsum(starts[:n]) - 1
+    bounds = starts.nonzero()[0]
+    return index, ordered[:, starts[:n]], bounds[1:] - bounds[:-1]
 
 
-def _cells(
-    pop: Dataset, attrs: Iterable[str]
-) -> tuple[np.ndarray, list[tuple[str, ...]], np.ndarray, np.ndarray]:
+class _Cells(NamedTuple):
+    """The non-empty joint cells of a grouping: each record's cell index
+    (smallest unsigned dtype), each cell's record count and indicator sum,
+    and each cell's level code per attribute with the attributes' levels,
+    from which `keys` names the cells."""
+
+    codes: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+    digits: np.ndarray
+    levels: list[Sequence[str]]
+
+    def keys(self) -> list[tuple[str, ...]]:
+        """Each cell's joint key, in cell order (lexicographic)."""
+        names = [[lv[d] for d in row] for lv, row in zip(self.levels, self.digits.tolist())]
+        return list(zip(*names)) if self.levels else [()]
+
+    def order(self) -> np.ndarray:
+        """The records cell by cell, each cell's in record order: one stable
+        sort of the cell index, a radix sort on its small unsigned dtype."""
+        return np.argsort(self.codes, kind="stable")
+
+
+def _cells(pop: Dataset, attrs: Iterable[str]) -> _Cells:
     """Non-empty joint cells of the attributes, taken in the Dataset's order.
 
-    Returns each record's cell index, the cells' joint keys (sorted
-    lexicographically), and each cell's record count and indicator sum.
     No attributes give the single cell (). The cells are projected from the
-    Dataset's joint cell table; counts and sums are taken over the records
-    in record order, so every sum adds the same floats in the same order
-    whatever the table holds.
+    Dataset's joint cell table: a cell's record count is the sum of its
+    table cells' counts, which is exact. The table's own grouping reads the
+    table's cell index as it is; any other takes each record's cell through
+    its table cell with one `take` on small codes. Indicator sums are one
+    weighted `bincount` over the records in record order, so every sum adds
+    the same floats in the same order whatever the table holds.
     """
     attrs = _ordered_attrs(pop, attrs)
-    table_attrs, index, cell_digits = pop._joint(attrs)
-    cell_codes, digits = _distinct_columns(cell_digits[[table_attrs.index(a) for a in attrs]])
-    codes = cell_codes[index]
-    levels = [pop._encode(a)[0] for a in attrs]
-    names = [[lv[d] for d in row] for lv, row in zip(levels, digits.tolist())]
-    keys = list(zip(*names)) if attrs else [()]
-    counts = np.bincount(codes, minlength=len(keys))
-    sums = np.bincount(codes, weights=pop.indicators, minlength=len(keys))
-    return codes, keys, counts, sums
+    table_attrs, index, table_digits, table_counts = pop._joint(attrs)
+    if attrs == table_attrs:
+        codes, digits, counts = index, table_digits, table_counts
+    else:
+        rows = table_digits[[table_attrs.index(a) for a in attrs]]
+        cell_codes, digits, _ = _distinct_columns(rows)
+        counts = np.bincount(cell_codes, weights=table_counts).astype(np.intp)
+        codes = cell_codes.astype(np.min_scalar_type(len(counts))).take(index)
+    sums = np.bincount(codes, weights=pop.indicators, minlength=len(counts))
+    return _Cells(codes, counts, sums, digits, [pop._encode(a).levels for a in attrs])
 
 
 def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:
     """Between-group columns only (no sub-datasets); used on hot paths."""
-    _, _, counts, sums = _cells(pop, attrs)
-    return WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
+    cells = _cells(pop, attrs)
+    return WeightedColumns(cells.counts / len(pop), cells.sums / pop.indicators.sum())
 
 
 def _ordered_attrs(pop: Dataset, attrs: Iterable[str]) -> tuple[str, ...]:
@@ -314,12 +345,39 @@ def group_by(
     Returns the between-group columns (weight n_g/n, share of the group's
     indicator total) and each group's sub-dataset, ordered lexicographically
     by joint key. Grouping by no attributes yields the single column (1,1).
+    A group whose indicators are all zero is no Dataset: it raises
+    DegeneratePopulation naming the group's key.
+
+    The records are split into groups by one sort of the cell index, so
+    each sub-dataset holds its group's records in record order. A column
+    given as values is passed on as the group's slice of the values; an
+    encoded column as the levels present in the group and the slice's
+    codes among them, which is the encoding the slice of values would get.
+    No column is decoded.
     """
-    codes, keys, counts, sums = _cells(pop, attrs)
-    cols = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
+    cells = _cells(pop, attrs)
+    cols = WeightedColumns(cells.counts / len(pop), cells.sums / pop.indicators.sum())
+    keys = cells.keys()
+    zero = np.flatnonzero(cells.sums == 0)
+    if zero.size:
+        raise DegeneratePopulation(f"all indicator values of group {keys[zero[0]]!r} are zero")
+    order, stops = cells.order(), np.cumsum(cells.counts)
+    indicators = pop.indicators[order]
+    columns = {}
+    for name in pop.attribute_names:
+        if name in pop._columns:
+            columns[name] = pop._columns[name][order]
+        else:
+            levels, codes = pop._encoded[name]
+            columns[name] = Encoded(levels, codes[order])
     groups = []
-    for g, key in enumerate(keys):
-        mask = codes == g
-        sub_attrs = {n: c[mask] for n, c in pop.attributes.items()}
-        groups.append((key, Dataset(pop.indicators[mask], sub_attrs, pop.attribute_names)))
+    for key, start, stop in zip(keys, stops - cells.counts, stops):
+        sub = {}
+        for name, col in columns.items():
+            if isinstance(col, Encoded):
+                present, codes = np.unique(col.codes[start:stop], return_inverse=True)
+                sub[name] = Encoded([col.levels[i] for i in present.tolist()], codes)
+            else:
+                sub[name] = col[start:stop]
+        groups.append((key, Dataset(indicators[start:stop], sub, pop.attribute_names)))
     return cols, groups

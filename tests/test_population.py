@@ -1,6 +1,8 @@
 """Population matrices, grouping and their invariances."""
 
+import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from ineqlab import (
     Dataset,
+    IneqError,
     DegeneratePopulation,
     EmptyPopulation,
     Encoded,
@@ -32,8 +35,9 @@ from ineqlab import (
     subgroup_decompose,
     theil,
 )
-from ineqlab import population
-from ineqlab.population import _cells
+from ineqlab import decomposition, population, shapley
+from ineqlab.measures import ge
+from ineqlab.population import _cells, _ordered_attrs
 from conftest import random_dataset
 
 
@@ -124,6 +128,13 @@ def test_attribute_columns_are_read_only_copies():
     assert group_by(d, {"A"})[0].pairs() == cols.pairs() == [(0.5, 0.25), (0.5, 0.75)]
     with pytest.raises(ValueError):
         d.attributes["A"][0] = "b"
+
+
+def test_group_by_names_an_all_zero_group():
+    d = Dataset([0.0, 1.0], {"g": ["a", "b"]})
+    with pytest.raises(DegeneratePopulation, match=r"group \('a',\)"):
+        group_by(d, {"g"})
+    assert [k for k, _ in group_by(d, set())[1]] == [()]
 
 
 def test_labels_differing_by_trailing_nul_are_distinct():
@@ -261,6 +272,11 @@ def grouped_by_records(d, subset):
     return codes, keys, counts, sums
 
 
+def unpacked_cells(d, attrs):
+    cells = _cells(d, attrs)
+    return cells.codes, cells.keys(), cells.counts, cells.sums
+
+
 @st.composite
 def datasets_with_subset_orders(draw):
     n = draw(st.integers(1, 30))
@@ -286,7 +302,7 @@ def datasets_with_subset_orders(draw):
 def test_cells_match_a_per_record_grouping(case):
     d, subsets = case
     for subset in subsets:
-        codes, keys, counts, sums = _cells(d, subset[::-1])
+        codes, keys, counts, sums = unpacked_cells(d, subset[::-1])
         exp_codes, exp_keys, exp_counts, exp_sums = grouped_by_records(d, subset)
         assert codes.tolist() == exp_codes
         assert keys == exp_keys
@@ -304,7 +320,7 @@ def test_one_attribute_groupings_of_many_attributes():
     attrs = {name: rng.integers(0, 10, n) for name in names}
     d = Dataset(rng.uniform(0.0, 5.0, n), attrs, names)
     for name in names + names[::-1]:
-        codes, keys, counts, sums = _cells(d, [name])
+        codes, keys, counts, sums = unpacked_cells(d, [name])
         exp_codes, exp_keys, exp_counts, exp_sums = grouped_by_records(d, [name])
         assert codes.tolist() == exp_codes
         assert keys == exp_keys
@@ -326,7 +342,7 @@ def test_joint_codes_past_int64_give_the_records_own_keys():
         np.array(exp_counts) / len(d), np.array(exp_sums) / d.indicators.sum()
     )
     assert game_value(d, names, spec) == inequality(per_record, spec)
-    codes, keys, counts, sums = _cells(d, names)
+    codes, keys, counts, sums = unpacked_cells(d, names)
     assert codes.tolist() == exp_codes
     assert keys == exp_keys
     assert counts.tolist() == exp_counts
@@ -383,3 +399,247 @@ def test_three_attributes_sort_the_records_once(run, monkeypatch):
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
     run(d, MeasureSpec(theil()))
     assert len(sorts) == 1
+
+
+def parent_distinct_columns(rows):
+    order = np.lexsort(rows[::-1]) if len(rows) else np.arange(rows.shape[1])
+    ordered = rows[:, order]
+    starts = np.ones(rows.shape[1], dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    index = np.empty(rows.shape[1], dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return index, ordered[:, starts]
+
+
+class ParentGrouping:
+    """The grouping code that built one mask per group, kept verbatim as
+    the oracle; only its joint cell table lives here, not on the Dataset."""
+
+    def __init__(self, pop):
+        self.pop = pop
+        self.table = None
+
+    def joint(self, attrs):
+        pop = self.pop
+        if self.table is None or not set(attrs) <= set(self.table[0]):
+            codes = np.array([pop._encode(a)[1] for a in attrs]).reshape(len(attrs), len(pop))
+            index, digits = parent_distinct_columns(codes)
+            self.table = attrs, index.astype(np.min_scalar_type(digits.shape[1])), digits
+        return self.table
+
+    def cells(self, attrs):
+        pop = self.pop
+        attrs = _ordered_attrs(pop, attrs)
+        table_attrs, index, cell_digits = self.joint(attrs)
+        cell_codes, digits = parent_distinct_columns(
+            cell_digits[[table_attrs.index(a) for a in attrs]]
+        )
+        codes = cell_codes[index]
+        levels = [pop._encode(a)[0] for a in attrs]
+        names = [[lv[d] for d in row] for lv, row in zip(levels, digits.tolist())]
+        keys = list(zip(*names)) if attrs else [()]
+        counts = np.bincount(codes, minlength=len(keys))
+        sums = np.bincount(codes, weights=pop.indicators, minlength=len(keys))
+        return codes, keys, counts, sums
+
+    def grouped_columns(self, pop, attrs):
+        assert pop is self.pop
+        _, _, counts, sums = self.cells(attrs)
+        return WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
+
+    def group_by(self, attrs):
+        pop = self.pop
+        codes, keys, counts, sums = self.cells(attrs)
+        cols = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
+        groups = []
+        for g, key in enumerate(keys):
+            mask = codes == g
+            sub_attrs = {n: c[mask] for n, c in pop.attributes.items()}
+            groups.append((key, Dataset(pop.indicators[mask], sub_attrs, pop.attribute_names)))
+        return cols, groups
+
+    def subgroup_decompose(self, attr, c):
+        pop = self.pop
+        spec = MeasureSpec(ge(c))
+        codes, keys, counts, sums = self.cells([attr])
+        cols = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
+        between = inequality(cols, spec)
+        total = inequality(population_matrix(pop), spec)
+        within = []
+        recon = between
+        for g, key in enumerate(keys):
+            pshare, ishare = cols.weights[g], cols.shares[g]
+            if ishare == 0:
+                within.append((key, 0.0 if c > 0 else math.inf, 0.0))
+                continue
+            weight = pshare ** (1.0 - c) * ishare**c
+            value = inequality(population_matrix(Dataset(pop.indicators[codes == g])), spec)
+            within.append((key, weight, value))
+            recon += weight * value
+        return between, tuple(within), recon, total
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def outcome(run):
+    """A call's result, or the type of the IneqError it raised."""
+    try:
+        return run()
+    except IneqError as exc:
+        return type(exc)
+
+
+@st.composite
+def grouping_cases(draw):
+    n = draw(st.integers(1, 40))
+    names = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    attrs = {}
+    for name in names:
+        # a pool of one label gives a one-level attribute; "a" and "a\x00"
+        # are distinct labels
+        pool = draw(st.lists(st.sampled_from(["a", "a\x00", "b", "10", "9"]), min_size=1,
+                             max_size=4, unique=True))
+        labels = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            levels = sorted(set(labels))
+            attrs[name] = Encoded(levels, np.array([levels.index(x) for x in labels]))
+        else:
+            attrs[name] = labels
+    # few distinct values, many zeros: zero-income and single-record groups
+    values = draw(st.lists(st.one_of(st.just(0.0), st.sampled_from([1.0, 2.5, 1e-3]),
+                                     st.floats(0.001, 1000.0)), min_size=n, max_size=n))
+    assume(any(v > 0 for v in values))
+    d = Dataset(values, attrs, draw(st.permutations(names)))
+    subsets = [c for r in range(len(names) + 1) for c in combinations(names, r)]
+    # the order of the groupings decides which cell table each is projected from
+    return d, draw(st.permutations(subsets))
+
+
+def same_group_by(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    (cols, groups), (want_cols, want_groups) = got, want
+    if bits(cols.weights) != bits(want_cols.weights) or bits(cols.shares) != bits(want_cols.shares):
+        return False
+    if [k for k, _ in groups] != [k for k, _ in want_groups]:
+        return False
+    for (_, sub), (_, want_sub) in zip(groups, want_groups):
+        if bits(sub.indicators) != bits(want_sub.indicators):
+            return False
+        if sub.attribute_names != want_sub.attribute_names:
+            return False
+        for name in sub.attribute_names:
+            if sub.attributes[name].tolist() != want_sub.attributes[name].tolist():
+                return False
+            (levels, codes), (want_levels, want_codes) = sub._encode(name), want_sub._encode(name)
+            if levels != want_levels or codes.dtype != want_codes.dtype or bits(codes) != bits(
+                want_codes
+            ):
+                return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouping_cases())
+def test_grouping_is_the_mask_per_group_code_bit_for_bit(case):
+    """Cells, between-group columns, group_by's sub-datasets, subgroup
+    within values and the decompositions built on them are those of the
+    mask-per-group code, float for float by their bytes."""
+    d, subsets = case
+    parent = ParentGrouping(d)
+    for subset in subsets:
+        cells, (codes, keys, counts, sums) = _cells(d, subset[::-1]), parent.cells(subset)
+        assert cells.codes.tolist() == codes.tolist() and cells.keys() == keys
+        assert cells.counts.tolist() == counts.tolist() and bits(cells.sums) == bits(sums)
+        cols, want = grouped_columns(d, subset), parent.grouped_columns(d, subset)
+        assert bits(cols.weights) == bits(want.weights) and bits(cols.shares) == bits(want.shares)
+        assert same_group_by(outcome(lambda: group_by(d, subset)),
+                             outcome(lambda: parent.group_by(subset)))
+    for attr in d.attribute_names:
+        for c in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            got = subgroup_decompose(d, attr, c)
+            between, within, recon, total = parent.subgroup_decompose(attr, c)
+            assert [bits(v) for v in (got.between, got.reconstruction, got.total)] == [
+                bits(v) for v in (between, recon, total)
+            ]
+            assert [(k, bits(w), bits(v)) for k, w, v in got.within] == [
+                (k, bits(w), bits(v)) for k, w, v in within
+            ]
+    names = list(d.attribute_names)
+    for spec in (MeasureSpec(theil()), MeasureSpec(ge(2.0), 0.25)):
+        runs = [lambda: shapley_values(d, names, spec)]
+        if len(names) >= 2:
+            runs.append(lambda: decompose(d, names, spec))
+        for run in runs:
+            got = outcome(run)
+            with mock.patch.object(decomposition, "grouped_columns", parent.grouped_columns), \
+                    mock.patch.object(shapley, "grouped_columns", parent.grouped_columns):
+                want = outcome(run)
+            if isinstance(got, type) or isinstance(want, type):
+                assert got is want
+            elif isinstance(got, dict):
+                assert got.keys() == want.keys()
+                assert [bits(got[a]) for a in got] == [bits(want[a]) for a in got]
+            else:
+                assert [(node, bits(cum), bits(part)) for node, cum, part in got.nodes] == [
+                    (node, bits(cum), bits(part)) for node, cum, part in want.nodes
+                ]
+                assert bits(got.total) == bits(want.total)
+
+
+def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
+    """Each grouping bincounts the records once, for its indicator sums;
+    its counts come from the cell table, and the table's own grouping uses
+    the table's cell index as it is."""
+    d = three_attribute_dataset()
+    passes = []
+    bincount = np.bincount
+
+    def counting_bincount(x, *args, **kwargs):
+        if np.shape(x) == (len(d),):
+            passes.append(x)
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+
+    def count(run):
+        del passes[:]
+        run()
+        return len(passes)
+
+    joint = ["A", "B", "C"]
+    assert count(lambda: grouped_columns(d, ["B"])) == 1  # builds a table over B
+    assert count(lambda: grouped_columns(d, joint)) == 1  # replaces it
+    assert _cells(d, joint).codes is d._joint(tuple(joint))[1]
+    for subset in [c for r in range(3) for c in combinations(joint, r)]:
+        assert count(lambda: grouped_columns(d, subset)) == 1
+        assert count(lambda: group_by(d, subset)) == 1
+    assert count(lambda: group_by(d, joint)) == 1
+    for attr in joint:
+        assert count(lambda: subgroup_decompose(d, attr, 2.0)) == 1
+
+
+def test_subgroup_decompose_measures_all_groups_at_once(monkeypatch):
+    """No Dataset per group and two WeightedColumns, the between-group and
+    the per-record ones: every within value comes from one r pass."""
+    rng = np.random.default_rng(4)
+    n = 400
+    values = rng.uniform(0.1, 10.0, n)
+    codes = rng.integers(0, 40, n)
+    values[codes == 7] = 0.0  # one zero-income group
+    d = Dataset(values, {"A": Encoded([f"g{j:02d}" for j in range(40)], codes)})
+    built = []
+    for cls in (Dataset, WeightedColumns):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    result = subgroup_decompose(d, "A", 2.0)
+    assert sorted(built) == ["WeightedColumns", "WeightedColumns"]
+    assert len(result.within) == 40 and result.within[7][1:] == (0.0, 0.0)
+    assert result.reconstruction == pytest.approx(result.total, rel=1e-12)
