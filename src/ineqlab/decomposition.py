@@ -161,8 +161,8 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
     partials."""
     nodes, _, preds = _lattice_cached(tuple(attrs))
     cache: dict = {}
-    # the joint source (the last node's) first, so the Dataset builds its
-    # cell table over all the attributes once
+    # the joint source (the last node's) first, so the Dataset sorts the
+    # records once and projects every other source's grouping from it
     _source_zonogon(pop, nodes[-1].sources[0], cache)
     cumulatives = []
     for node in nodes:

@@ -24,6 +24,12 @@ from .errors import (
 
 _SUM_TOL = 1e-12
 
+# Groupings a Dataset keeps: every source of a three-attribute lattice, so
+# decompose and shapley over three attributes group each attribute set once.
+# Without a cap, shapley over ten attributes would keep 1,023 cell indexes of
+# n entries each.
+_KEPT_GROUPINGS = 2**3 - 1
+
 
 @dataclass(frozen=True)
 class Record:
@@ -85,8 +91,9 @@ class Dataset:
     An attribute column is given as values, kept as a read-only copy and
     encoded on first grouping, or as an `Encoded` column, kept as its
     levels and a read-only copy of its codes and decoded on first access
-    to `attributes`. The joint cell table of the last grouping that needed
-    a new one is kept with them.
+    to `attributes`. A Dataset keeps its encodings and up to
+    `_KEPT_GROUPINGS` groupings, codes only: each record's cell, each
+    cell's level codes and record count. Indicator sums are taken per call.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -125,7 +132,7 @@ class Dataset:
         self._columns = columns
         self._encoded = encoded
         self._attributes: dict[str, np.ndarray] | None = None
-        self._table: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._groupings: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> "Dataset":
@@ -168,13 +175,13 @@ class Dataset:
         return self._attributes
 
     def scaled(self, k: float) -> "Dataset":
-        """The Dataset with every indicator times `k`; each column is passed
-        on as it was given, so an encoded column is not encoded again."""
-        columns = {
-            name: self._columns[name] if name in self._columns else self._encoded[name]
-            for name in self.attribute_names
-        }
-        return Dataset(self.indicators * k, columns, self.attribute_names)
+        """The Dataset with every indicator times `k`. It shares the columns,
+        encodings and kept groupings, which hold no indicator, so nothing
+        is checked or encoded again."""
+        scaled = Dataset(self.indicators * k)
+        scaled.attribute_names, scaled._columns = self.attribute_names, self._columns
+        scaled._encoded, scaled._groupings = dict(self._encoded), dict(self._groupings)
+        return scaled
 
     def _encode(self, attr: str) -> Encoded:
         """Sorted levels of an attribute, the `str` of each distinct label,
@@ -190,24 +197,41 @@ class Dataset:
             self._encoded[attr] = _sorted_encoding(code_of, codes)
         return self._encoded[attr]
 
-    def _joint(
-        self, attrs: tuple[str, ...]
-    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Joint cell table of a grouping by `attrs` (in Dataset order).
+    def _grouping(self, attrs: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Codes-only grouping by `attrs` (in Dataset order), read-only.
 
-        Returns the table's attributes, each record's cell index (smallest
-        unsigned dtype), each cell's level code per attribute (one row per
-        attribute) and each cell's record count, read off the sort that
-        builds the table. The table is kept; a grouping whose attributes
-        are not all in it replaces it with a table over that grouping's
-        attributes only, built with one sort of the records' code rows, so
-        only grouped attributes are ever encoded.
+        Returns each record's cell index (smallest unsigned dtype), each
+        cell's level code per attribute (one row per attribute) and each
+        cell's record count. A grouping not kept is projected from the kept
+        grouping with the most attributes that holds all of `attrs`: its
+        cells' codes are projected, their counts summed (exact) and each
+        record's cell taken with one `take` on small codes. With none, it is
+        built with one sort of the records' code rows, so only grouped
+        attributes are ever encoded. Each use moves a grouping last, and
+        the first is dropped past `_KEPT_GROUPINGS`, so a grouping that
+        later ones are projected from stays kept.
         """
-        if self._table is None or not set(attrs) <= set(self._table[0]):
-            codes = np.array([self._encode(a)[1] for a in attrs]).reshape(len(attrs), len(self))
-            index, digits, counts = _distinct_columns(codes)
-            self._table = attrs, index.astype(np.min_scalar_type(len(counts))), digits, counts
-        return self._table
+        kept = self._groupings
+        grouping = kept.pop(attrs, None)
+        if grouping is None:
+            source = max((a for a in kept if set(attrs) <= set(a)), key=len, default=None)
+            if source is None:
+                codes = np.array([self._encode(a)[1] for a in attrs]).reshape(len(attrs), len(self))
+                index, digits, counts = _distinct_columns(codes)
+                index = index.astype(np.min_scalar_type(len(counts)))
+            else:
+                source_index, source_digits, source_counts = kept[source] = kept.pop(source)
+                rows = source_digits[[source.index(a) for a in attrs]]
+                cell_codes, digits, _ = _distinct_columns(rows)
+                counts = np.bincount(cell_codes, weights=source_counts).astype(np.intp)
+                index = cell_codes.astype(np.min_scalar_type(len(counts))).take(source_index)
+            grouping = index, digits, counts
+            for array in grouping:
+                array.flags.writeable = False
+            if len(kept) == _KEPT_GROUPINGS:
+                del kept[next(iter(kept))]
+        kept[attrs] = grouping
+        return grouping
 
 
 class WeightedColumns:
@@ -295,23 +319,14 @@ class _Cells(NamedTuple):
 def _cells(pop: Dataset, attrs: Iterable[str]) -> _Cells:
     """Non-empty joint cells of the attributes, taken in the Dataset's order.
 
-    No attributes give the single cell (). The cells are projected from the
-    Dataset's joint cell table: a cell's record count is the sum of its
-    table cells' counts, which is exact. The table's own grouping reads the
-    table's cell index as it is; any other takes each record's cell through
-    its table cell with one `take` on small codes. Indicator sums are one
-    weighted `bincount` over the records in record order, so every sum adds
-    the same floats in the same order whatever the table holds.
+    No attributes give the single cell (). The record-to-cell index, cell
+    codes and counts are the Dataset's kept grouping, used as they are. The
+    indicator sums are one weighted `bincount` over the records in record
+    order per call, so every sum adds the same floats in the same order
+    whatever the Dataset keeps.
     """
     attrs = _ordered_attrs(pop, attrs)
-    table_attrs, index, table_digits, table_counts = pop._joint(attrs)
-    if attrs == table_attrs:
-        codes, digits, counts = index, table_digits, table_counts
-    else:
-        rows = table_digits[[table_attrs.index(a) for a in attrs]]
-        cell_codes, digits, _ = _distinct_columns(rows)
-        counts = np.bincount(cell_codes, weights=table_counts).astype(np.intp)
-        codes = cell_codes.astype(np.min_scalar_type(len(counts))).take(index)
+    codes, digits, counts = pop._grouping(attrs)
     sums = np.bincount(codes, weights=pop.indicators, minlength=len(counts))
     return _Cells(codes, counts, sums, digits, [pop._encode(a).levels for a in attrs])
 

@@ -34,8 +34,8 @@ def _all_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict:
     if len(attrs) > MAX_PLAYERS:
         raise TooManyAttributes(f"exact enumeration supports up to {MAX_PLAYERS} attributes")
     values = {(): 0.0}
-    # the grand coalition first, so the Dataset builds its cell table over
-    # all the attributes once
+    # the grand coalition first, so the Dataset sorts the records once and
+    # projects every other coalition's grouping from it
     for r in reversed(range(1, len(attrs) + 1)):
         for coalition in combinations(attrs, r):
             values[coalition] = game_value(pop, coalition, spec)

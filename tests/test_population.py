@@ -199,13 +199,48 @@ def test_encoded_columns_decode_read_only_and_scale_without_encoding(monkeypatch
     assert grouped_columns(d, ["A", "B"]).pairs() == grouped_columns(plain, ["A", "B"]).pairs()
 
     scaled = d.scaled(2.0)
-    assert list(scaled._encoded) == ["A"]
+    # the scaled Dataset shares the encodings, B's made by the grouping above
+    assert list(scaled._encoded) == ["A", "B"]
 
     def no_encoding():
         raise AssertionError("encoded again")
 
     monkeypatch.setattr(population, "_level_encoder", no_encoding)
     assert grouped_columns(scaled, ["A"]).pairs() == grouped_columns(plain, ["A"]).pairs()
+    assert grouped_columns(scaled, ["B"]).pairs() == grouped_columns(plain, ["B"]).pairs()
+
+
+@pytest.mark.parametrize("grouped", [0, 1, 3, 8])
+@pytest.mark.parametrize("k", [2.0, 0.3, 1e-3])
+def test_scaled_checks_nothing_again_and_keeps_the_cells(grouped, k):
+    """`scaled` runs no `_checked_encoding` and hands on the groupings kept
+    so far; every grouping of it has the bits of a freshly built Dataset's."""
+    rng = np.random.default_rng(grouped)
+    n = 60
+    values = rng.uniform(0.0, 5.0, n)
+    columns = {
+        "A": Encoded(["a", "b", "c"], rng.integers(0, 3, n)),
+        "B": rng.choice(["p", "q"], n),
+        "C": Encoded(["x", "y"], rng.integers(0, 2, n)),
+    }
+    d = Dataset(values, columns)
+    subsets = [c for r in range(4) for c in combinations("ABC", r)]
+    for subset in subsets[::-1][:grouped]:
+        grouped_columns(d, subset)
+    fresh = Dataset(values * k, columns)
+
+    def no_check(*args):
+        raise AssertionError("checked again")
+
+    with mock.patch.object(population, "_checked_encoding", no_check):
+        scaled = d.scaled(k)
+    assert list(scaled._groupings) == list(d._groupings)
+    assert all(scaled._groupings[a] is d._groupings[a] for a in d._groupings)
+    for subset in subsets:
+        got, want = _cells(scaled, subset), _cells(fresh, subset)
+        assert got.codes.dtype == want.codes.dtype and bits(got.codes) == bits(want.codes)
+        assert bits(got.digits) == bits(want.digits) and bits(got.counts) == bits(want.counts)
+        assert bits(got.sums) == bits(want.sums) and got.keys() == want.keys()
 
 
 def test_weighted_columns_validation():
@@ -513,8 +548,11 @@ def grouping_cases(draw):
     assume(any(v > 0 for v in values))
     d = Dataset(values, attrs, draw(st.permutations(names)))
     subsets = [c for r in range(len(names) + 1) for c in combinations(names, r)]
-    # the order of the groupings decides which cell table each is projected from
-    return d, draw(st.permutations(subsets))
+    # the order of the groupings decides which kept grouping each is
+    # projected from; a cap on kept groupings below the number of subsets
+    # drops some of them
+    cap = draw(st.integers(1, min(population._KEPT_GROUPINGS, len(subsets) - 1)))
+    return d, draw(st.permutations(subsets)), cap
 
 
 def same_group_by(got, want):
@@ -546,10 +584,24 @@ def same_group_by(got, want):
 def test_grouping_is_the_mask_per_group_code_bit_for_bit(case):
     """Cells, between-group columns, group_by's sub-datasets, subgroup
     within values and the decompositions built on them are those of the
-    mask-per-group code, float for float by their bytes."""
-    d, subsets = case
+    mask-per-group code, float for float by their bytes.
+
+    Every subset is grouped twice in a row, the second time from its kept
+    grouping, and then all once more, under a drawn cap on kept groupings
+    below the number of subsets, so groupings are also dropped and built
+    again. Kept code arrays are read-only."""
+    d, subsets, cap = case
     parent = ParentGrouping(d)
-    for subset in subsets:
+    with mock.patch.object(population, "_KEPT_GROUPINGS", cap):
+        check_mask_grouping_bits(d, parent, [s for s in subsets for _ in range(2)] + subsets)
+    assert len(d._groupings) == cap
+    for array in [array for grouping in d._groupings.values() for array in grouping]:
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def check_mask_grouping_bits(d, parent, sequence):
+    for subset in sequence:
         cells, (codes, keys, counts, sums) = _cells(d, subset[::-1]), parent.cells(subset)
         assert cells.codes.tolist() == codes.tolist() and cells.keys() == keys
         assert cells.counts.tolist() == counts.tolist() and bits(cells.sums) == bits(sums)
@@ -557,6 +609,7 @@ def test_grouping_is_the_mask_per_group_code_bit_for_bit(case):
         assert bits(cols.weights) == bits(want.weights) and bits(cols.shares) == bits(want.shares)
         assert same_group_by(outcome(lambda: group_by(d, subset)),
                              outcome(lambda: parent.group_by(subset)))
+        assert len(d._groupings) <= population._KEPT_GROUPINGS
     for attr in d.attribute_names:
         for c in (-1.0, 0.0, 0.5, 1.0, 2.0):
             got = subgroup_decompose(d, attr, c)
@@ -590,9 +643,9 @@ def test_grouping_is_the_mask_per_group_code_bit_for_bit(case):
 
 
 def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
-    """Each grouping bincounts the records once, for its indicator sums;
-    its counts come from the cell table, and the table's own grouping uses
-    the table's cell index as it is."""
+    """Each grouping bincounts the records once per call, for its indicator
+    sums; its counts come from the kept grouping it is projected from, and
+    its cell index is its kept one, used as it is with no gather."""
     d = three_attribute_dataset()
     passes = []
     bincount = np.bincount
@@ -610,15 +663,76 @@ def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
         return len(passes)
 
     joint = ["A", "B", "C"]
-    assert count(lambda: grouped_columns(d, ["B"])) == 1  # builds a table over B
-    assert count(lambda: grouped_columns(d, joint)) == 1  # replaces it
-    assert _cells(d, joint).codes is d._joint(tuple(joint))[1]
+    assert count(lambda: grouped_columns(d, ["B"])) == 1  # built from the codes
+    assert count(lambda: grouped_columns(d, joint)) == 1  # built from the codes
     for subset in [c for r in range(3) for c in combinations(joint, r)]:
         assert count(lambda: grouped_columns(d, subset)) == 1
         assert count(lambda: group_by(d, subset)) == 1
     assert count(lambda: group_by(d, joint)) == 1
     for attr in joint:
         assert count(lambda: subgroup_decompose(d, attr, 2.0)) == 1
+    for subset, (index, _, _) in list(d._groupings.items()):
+        assert _cells(d, subset).codes is index
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda d, spec: decompose(d, ["A", "B", "C"], spec),
+        lambda d, spec: shapley_values(d, ["A", "B", "C"], spec),
+        lambda d, spec: [game_synergy(d, a, b, spec) for a, b in combinations("ABC", 2)],
+    ],
+    ids=["decompose", "shapley", "synergy"],
+)
+def test_a_second_call_groups_nothing_again(run, monkeypatch):
+    """A second call on the same Dataset finds every grouping kept: it
+    sorts no records and projects no cells, and gives the same bits."""
+    d = three_attribute_dataset()
+    spec = MeasureSpec(theil())
+    first = run(d, spec)
+    calls = []
+    lexsort, distinct_columns = np.lexsort, population._distinct_columns
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "lexsort", counted("lexsort", lexsort))
+    monkeypatch.setattr(population, "_distinct_columns", counted("distinct", distinct_columns))
+    assert repr(run(d, spec)) == repr(first)
+    assert calls == []
+
+
+def test_shapley_over_five_attributes_keeps_seven_groupings(monkeypatch):
+    """Shapley over five attributes asks for 31 groupings: the Dataset
+    keeps at most seven, and the grand coalition, which every other one is
+    projected from, stays kept, so the records are sorted once."""
+    rng = np.random.default_rng(6)
+    n = 300
+    names = list("ABCDE")
+    d = Dataset(rng.uniform(0.1, 10.0, n), {a: rng.integers(0, 3, n) for a in names}, names)
+    kept, sorts = [], []
+    grouping, lexsort = Dataset._grouping, np.lexsort
+
+    def counting_grouping(self, attrs):
+        result = grouping(self, attrs)
+        kept.append(len(self._groupings))
+        return result
+
+    def counting_lexsort(keys, *args, **kwargs):
+        if np.shape(keys)[-1] == n:
+            sorts.append(keys)
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "_grouping", counting_grouping)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    spec = MeasureSpec(theil())
+    first = shapley_values(d, names, spec)
+    assert len(kept) == 31 and max(kept) == population._KEPT_GROUPINGS == 7
+    assert len(sorts) == 1 and tuple(names) in d._groupings
+    assert shapley_values(d, names, spec) == first
 
 
 def test_subgroup_decompose_measures_all_groups_at_once(monkeypatch):
