@@ -13,7 +13,7 @@ import logging
 import math
 import os
 import sys
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 
 import click
 import numpy as np
@@ -77,20 +77,14 @@ def _setup_logging() -> None:
 def ingest(path: str, value_col: str) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset.
 
-    Every column other than the value column becomes an attribute. A CSV
-    without quotes or carriage returns is read column by column, each
-    attribute as `Encoded` level codes; any other text, and any text with
-    a row the columnar reader does not accept, is read again row by row,
-    which gives the same Dataset and raises every line-numbered input
-    error. A UTF-8 byte order mark is skipped; a byte that is not UTF-8 is
+    Every column other than the value column becomes an attribute, given
+    as `Encoded` level codes; the file is read once, by `_read_csv`. A
+    UTF-8 byte order mark is skipped; a byte that is not UTF-8 is
     reported by its offset in the file and its line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            columns = _read_columns(fh, value_col)
-            if columns is None:
-                fh.seek(0)
-                columns = _read_rows(fh, value_col)
+            columns = _read_csv(fh, value_col)
     except UnicodeDecodeError as exc:
         raise InputError(_decode_error(path, exc)) from exc
     except (OSError, csv.Error) as exc:
@@ -121,122 +115,130 @@ def _check_header(header: list[str], value_col: str) -> None:
         raise InputError(f"missing value column {value_col!r}")
 
 
-# characters per block of lines in the columnar reader: a block's flat list
-# of fields is transient, so it stays small next to the columns it fills
+# characters per block of lines: a block's fields are transient, so they
+# stay small next to the columns they fill
 _BLOCK_CHARS = 1 << 16
 
 
-def _read_columns(fh, value_col: str):
-    """Values, `Encoded` attribute columns and names of a CSV without quotes
-    or carriage returns, or None where `_read_rows` must read it.
+def _read_csv(fh, value_col: str):
+    """Values, `Encoded` attribute columns and names of a CSV.
 
-    Reads blocks of whole lines and splits each block into one flat list
-    of fields. Raises only the header errors; every row it does not take
-    as it is (a blank row, a wrong field count, a value that does not
-    parse or is negative or not finite, an empty category, a field longer
-    than `csv.field_size_limit()`) gives None.
+    The header is read with `csv.reader`, then blocks of whole lines: a
+    block that `_split_block` takes is split on commas, and any other is
+    read by `_read_rows`, which reads on into the file only for a quoted
+    field that spans the block's end. Each block's labels become level
+    codes at once. Raises the header's or first invalid row's error.
     """
-    line = fh.readline().removesuffix("\n")
-    if not line or '"' in line or "\r" in line:
-        return None
-    header = line.split(",")
+    reader = csv.reader(fh)
+    try:
+        if (header := next(reader, None)) is None:
+            raise InputError("empty dataset")
+    except csv.Error as exc:
+        raise csv.Error(f"line 1: {exc}") from None
     _check_header(header, value_col)
-    k = len(header)
     vi = header.index(value_col)
-    attr_names = [h for h in header if h != value_col]
-    attr_idx = [header.index(a) for a in attr_names]
-    encoders = [_level_encoder() for _ in attr_names]
-    # the values and, per attribute, the first-seen level codes of each
-    # block; each list starts with an empty block, so that a CSV without
-    # rows concatenates too
+    attr_idx = [i for i, h in enumerate(header) if i != vi]
+    encoders = [_level_encoder() for _ in attr_idx]
+    # each block's values and, per attribute, first-seen level codes; each
+    # list starts with an empty block, so that a CSV without rows concatenates
     blocks = [np.empty(0)]
-    codes = [[np.empty(0, np.uint8)] for _ in attr_names]
+    codes = [[np.empty(0, np.uint8)] for _ in attr_idx]
+    lines_read = reader.line_num
     while lines := fh.readlines(_BLOCK_CHARS):
-        text = "".join(lines)
-        if '"' in text or "\r" in text:
-            return None
-        if list(map(str.count, lines, repeat(","))).count(k - 1) != len(lines):
-            return None
-        flat = text.replace("\n", ",").split(",")
-        if text.endswith("\n"):
-            flat.pop()
-        limit = csv.field_size_limit()
-        if len(text) > limit and max(map(len, flat)) > limit:
-            return None  # csv.reader rejects a field this long
-        cells = flat[vi::k]
-        try:
-            # float() as in `_read_rows`, so the same texts parse, to the same bits
-            block = np.fromiter(map(float, cells), float, len(cells))
-        except ValueError:
-            return None
-        if not np.all(np.isfinite(block)) or np.any(block < 0):
-            return None
-        blocks.append(block)
-        for j, code_of, column in zip(attr_idx, encoders, codes):
-            cells = flat[j::k]
-            if "" in cells:
-                return None
+        block = _split_block(lines, len(header), vi, attr_idx)
+        if block is None:
+            reader = csv.reader(chain(lines, fh))
+            block = _read_rows(reader, len(lines), lines_read, header, vi, attr_idx)
+            lines_read += reader.line_num
+        else:
+            lines_read += len(lines)
+        values, labels = block
+        blocks.append(values)
+        for code_of, column, cells in zip(encoders, codes, labels):
             first_seen = np.fromiter(map(code_of.__getitem__, cells), np.intp, len(cells))
             column.append(first_seen.astype(np.min_scalar_type(len(code_of))))
     attrs = {
-        a: _sorted_encoding(code_of, np.concatenate(column))
-        for a, code_of, column in zip(attr_names, encoders, codes)
+        header[j]: _sorted_encoding(code_of, np.concatenate(column))
+        for j, code_of, column in zip(attr_idx, encoders, codes)
     }
-    return np.concatenate(blocks), attrs, attr_names
+    return np.concatenate(blocks), attrs, list(attrs)
 
 
-def _read_rows(fh, value_col: str):
-    """Values, attribute lists and names read with `csv.reader`; the first
-    row it rejects raises an InputError, or a csv.Error, with its line."""
-    rows = _records(csv.reader(fh))
+def _split_block(lines: list[str], k: int, vi: int, attr_idx: list[int]):
+    """`_columns` of a block of lines split on commas, or None where that
+    may not read what `csv.reader` reads: a quote or carriage return, a
+    line without k - 1 commas, or a field over `csv.field_size_limit()`."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text:
+        return None
+    if list(map(str.count, lines, repeat(","))).count(k - 1) != len(lines):
+        return None
+    flat = text.removesuffix("\n").replace("\n", ",").split(",")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, flat)) > limit:
+        return None  # csv.reader rejects a field this long
+    return _columns([flat[j::k] for j in range(k)], vi, attr_idx)
+
+
+def _columns(fields: list, vi: int, attr_idx: list[int]):
+    """Values and, per attribute, labels of a block's fields given column by
+    column, or None for a value that does not parse or is negative or not
+    finite, or for an empty label."""
     try:
-        _, header = next(rows)
-    except StopIteration:
-        raise InputError("empty dataset") from None
-    _check_header(header, value_col)
-    vi = header.index(value_col)
-    attr_names = [h for h in header if h != value_col]
-    attr_idx = {a: header.index(a) for a in attr_names}
+        # float() as in `_checked_rows`, so the same texts parse, to the same bits
+        values = np.fromiter(map(float, fields[vi]), float, len(fields[vi]))
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        return None
+    labels = [fields[j] for j in attr_idx]
+    if any("" in cells for cells in labels):
+        return None
+    return values, labels
+
+
+def _read_rows(reader, stop: int, start: int, header: list[str], vi: int, attr_idx: list[int]):
+    """`_columns`, or where it gives None `_checked_rows`, of the rows `reader`
+    reads until it has read `stop` lines, `start` lines of the file before;
+    the first invalid row raises an InputError, or a csv.Error, with its line."""
+    rows, ends = [], [start]  # each row's file line is the line after ends[i]
+    try:
+        for row in reader:
+            rows.append(row)
+            ends.append(start + reader.line_num)
+            if reader.line_num >= stop:
+                break
+    except csv.Error as exc:
+        _checked_rows(rows, ends, header, vi, attr_idx)
+        raise csv.Error(f"line {ends[-1] + 1}: {exc}") from None
+    same_length = list(map(len, rows)).count(len(header)) == len(rows)
+    block = same_length and _columns(list(zip(*rows)), vi, attr_idx)
+    return block or _checked_rows(rows, ends, header, vi, attr_idx)
+
+
+def _checked_rows(rows, ends, header: list[str], vi: int, attr_idx: list[int]):
+    """The values and labels of `rows`, row by row: blank rows are skipped,
+    and the first invalid row raises an InputError with its line."""
     values = []
-    attrs: dict[str, list[str]] = {a: [] for a in attr_names}
-    for lineno, row in rows:
+    labels: list[list[str]] = [[] for _ in attr_idx]
+    for end, row in zip(ends, rows):
+        lineno = end + 1
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
-            raise InputError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+            raise InputError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
             v = float(row[vi])
         except ValueError:
-            raise InputError(
-                f"line {lineno}: cannot parse value {row[vi]!r}"
-            ) from None
+            raise InputError(f"line {lineno}: cannot parse value {row[vi]!r}") from None
         if not math.isfinite(v) or v < 0:
-            raise InputError(
-                f"line {lineno}: value must be non-negative and finite"
-            )
+            raise InputError(f"line {lineno}: value must be non-negative and finite")
         values.append(v)
-        for a in attr_names:
-            cell = row[attr_idx[a]]
-            if cell == "":
-                raise InputError(
-                    f"line {lineno}: missing category for attribute {a!r}"
-                )
-            attrs[a].append(cell)
-    return values, attrs, attr_names
-
-
-def _records(reader):
-    """(line, row) per record, the line being the file line the record
-    starts on; a csv.Error the reader raises is raised again with it."""
-    lineno = 1
-    try:
-        for row in reader:
-            yield lineno, row
-            lineno = reader.line_num + 1
-    except csv.Error as exc:
-        raise csv.Error(f"line {lineno}: {exc}") from None
+        for j, cells in zip(attr_idx, labels):
+            if row[j] == "":
+                raise InputError(f"line {lineno}: missing category for attribute {header[j]!r}")
+            cells.append(row[j])
+    return np.array(values, dtype=float), labels
 
 
 def _round(value: float, precision: int):
@@ -313,10 +315,8 @@ def cmd_lorenz(path, value_col, group_attrs, precision):
         cols = grouped_columns(pop, [a.strip() for a in group_attrs.split(",")])
     else:
         cols = population_matrix(pop)
-    chain = canonical_chain(cols)
-    click.echo("\n".join(
-        ["x,y"] + [f"{x:.{precision}g},{y:.{precision}g}" for x, y in chain.vertices.tolist()]
-    ))
+    vertices = canonical_chain(cols).vertices.tolist()
+    click.echo("\n".join(["x,y"] + [f"{x:.{precision}g},{y:.{precision}g}" for x, y in vertices]))
 
 
 @main.command("decompose")

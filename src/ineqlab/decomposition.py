@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfiniteMeasure, InvalidMeasure, NegativeComponent, TooManyAttributes
-from .measures import MeasureSpec, _r, _summed, atkinson_transform, ge, inequality
+from .errors import InfiniteMeasure, NegativeComponent, TooManyAttributes
+from .measures import MeasureSpec, _check_eps, _r, _summed, atkinson_transform, ge, inequality
 from .population import (
     _SUM_TOL,
     Dataset,
@@ -196,8 +196,7 @@ def atkinson_decompose(pop: Dataset, attrs: Sequence[str], eps: float) -> Decomp
     through the monotone Atkinson transform, and only then inverted; this
     keeps the transformed cumulatives monotone on the lattice.
     """
-    if eps <= 0:
-        raise InvalidMeasure("atkinson requires eps > 0")
+    _check_eps(eps)
     return _decompose(pop, attrs, MeasureSpec(ge(1.0 - eps)), lambda v: atkinson_transform(v, eps))
 
 

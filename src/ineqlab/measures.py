@@ -76,8 +76,10 @@ def ge(c: float) -> Generator:
     """Generalized Entropy generator (t^(1-c) - t)/(c(c-1)).
 
     Values of c within 1e-9 of 0 or 1 dispatch to MLD/Theil, whose
-    generators are the limits at the singularities.
+    generators are the limits at the singularities. c must be finite.
     """
+    if not math.isfinite(c):
+        raise InvalidMeasure(f"GE parameter must be finite, got {c}")
     if abs(c) < _C_SINGULAR_TOL:
         return mld()
     if abs(c - 1) < _C_SINGULAR_TOL:
@@ -160,7 +162,7 @@ def _r(x: np.ndarray, y: np.ndarray, spec: MeasureSpec) -> np.ndarray:
 def r_fp(v: tuple[float, float], spec: MeasureSpec) -> float:
     """Measure of one column vector; non-negative, possibly infinite."""
     x, y = float(v[0]), float(v[1])
-    if x < 0 or y < 0:
+    if not (x >= 0 and y >= 0):  # a NaN fails too
         raise NegativeComponent("vector components must be non-negative")
     return float(_r(np.array([x]), np.array([y]), spec)[0])
 
@@ -212,10 +214,17 @@ def classic_index(pop: Dataset, gen: Generator) -> float:
     raise InvalidMeasure(f"no classic formula for generator {gen.name!r}")
 
 
-def atkinson(pop: Dataset, eps: float) -> float:
-    """Atkinson index 1 - (generalized mean of order 1-eps)/mean."""
+def _check_eps(eps: float) -> None:
+    """Reject an Atkinson parameter that is not finite and positive."""
+    if not math.isfinite(eps):
+        raise InvalidMeasure(f"atkinson requires a finite eps, got {eps}")
     if eps <= 0:
         raise InvalidMeasure("atkinson requires eps > 0")
+
+
+def atkinson(pop: Dataset, eps: float) -> float:
+    """Atkinson index 1 - (generalized mean of order 1-eps)/mean."""
+    _check_eps(eps)
     s = pop.indicators
     mean = pop.mean
     if mean <= 0:
@@ -237,8 +246,7 @@ def atkinson(pop: Dataset, eps: float) -> float:
 
 def atkinson_transform(x: float, eps: float) -> float:
     """Monotone map taking the GE(1-eps) f-inequality to the Atkinson index."""
-    if eps <= 0:
-        raise InvalidMeasure("atkinson requires eps > 0")
+    _check_eps(eps)
     if x < 0:
         raise TransformDomainError("f-inequality input must be non-negative")
     c = 1.0 - eps
@@ -291,8 +299,7 @@ def parse_measure(text: str) -> tuple[str, object]:
             eps = float(text[9:])
         except ValueError as exc:
             raise InvalidMeasure(f"bad Atkinson parameter in {text!r}") from exc
-        if eps <= 0:
-            raise InvalidMeasure("atkinson requires eps > 0")
+        _check_eps(eps)
         if p != 0.0:
             raise InvalidMeasure("atkinson does not take a p parameter")
         return "atkinson", eps

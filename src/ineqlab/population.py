@@ -125,6 +125,7 @@ class Dataset:
             attribute_names = tuple(attributes)
         else:
             attribute_names = tuple(attribute_names)
+            _check_distinct(attribute_names)
             if set(attribute_names) != set(attributes):
                 raise UnknownAttribute("attribute_names do not match attribute columns")
         self.indicators = ind
@@ -242,11 +243,11 @@ class WeightedColumns:
         s = np.asarray(shares, dtype=float)
         if w.shape != s.shape or w.ndim != 1:
             raise ValueError("weights and shares must be 1-d arrays of equal length")
-        if np.any(w < 0) or np.any(s < 0):
+        # written so that a NaN fails each check
+        if not (np.all(w >= 0) and np.all(s >= 0)):
             raise NegativeComponent("weights and shares must be non-negative")
-        if abs(w.sum() - 1.0) > _SUM_TOL * max(1, w.size) or abs(
-            s.sum() - 1.0
-        ) > _SUM_TOL * max(1, s.size):
+        tol = _SUM_TOL * max(1, w.size)
+        if not (abs(w.sum() - 1.0) <= tol and abs(s.sum() - 1.0) <= tol):
             raise ValueError("weights and shares must each sum to one")
         self.weights = w
         self.shares = s

@@ -17,7 +17,6 @@ import pytest
 
 from ineqlab import (
     Dataset,
-    LatticeNode,
     MeasureSpec,
     OrderRelation,
     WeightedColumns,

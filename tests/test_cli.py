@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from jsonschema import validate
 
 import ineqlab.shapley
-from ineqlab import Dataset, IneqError, cli
-from ineqlab.cli import InputError, _read_columns, _read_rows, main
+from ineqlab import Dataset, cli
+from ineqlab.cli import InputError, _check_header, main
 
 XOR_CSV = "region,industry,income\nr1,i1,1\nr1,i2,3\nr2,i1,3\nr2,i2,1\n"
 UNIFORM_CSV = "g,income\na,2\nb,2\nc,2\n"
@@ -286,6 +287,26 @@ def test_unknown_measure_exit_2(runner, xor_file):
     assert "Error: unknown measure 'gini'\n" in res.output
 
 
+@pytest.mark.parametrize(
+    "measure, message",
+    [(f"ge:{c}", f"GE parameter must be finite, got {c}") for c in ["nan", "inf", "-inf"]]
+    + [(f"atkinson:{e}", f"atkinson requires a finite eps, got {e}") for e in ["nan", "inf"]],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["measure"],
+        ["decompose", "--attrs", "region,industry"],
+        ["subgroup", "--group-by", "region"],
+    ],
+)
+def test_non_finite_measure_parameter_exit_2(runner, xor_file, command, measure, message):
+    args = [command[0], "-i", xor_file, "--value-col", "income", "--measure", measure]
+    res = runner.invoke(main, args + command[1:])
+    assert res.exit_code == 2
+    assert res.output.endswith(f"Error: {message}\n")
+
+
 def test_round_trip_determinism(runner, xor_file):
     args = [
         "decompose",
@@ -395,7 +416,7 @@ def test_ingest_line_errors_exit_2(runner, tmp_path, body, message):
 )
 def test_utf8_bom_is_skipped(runner, tmp_path, args, quoted):
     text = (Path(__file__).resolve().parent / "golden" / "population.csv").read_text()
-    if quoted:  # a quoted field sends the whole file to the row reader
+    if quoted:  # a quoted field sends its block to the row loop
         text = text.replace(",north,", ',"north",', 1)
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
     plain.write_bytes(text.encode())
@@ -408,28 +429,61 @@ def test_utf8_bom_is_skipped(runner, tmp_path, args, quoted):
     assert outputs[0].output == outputs[1].output
 
 
+def _no_row_loop():
+    return mock.patch.object(cli, "_read_rows", side_effect=AssertionError("row loop"))
+
+
 def test_unquoted_csv_is_read_by_columns():
+    """Every block of the golden CSV is split on commas: none reaches the
+    row loop."""
     text = (Path(__file__).resolve().parent / "golden" / "population.csv").read_text()
-    with mock.patch.object(cli, "_BLOCK_CHARS", 1000):
-        columns = _read_columns(io.StringIO(text, newline=""), "income")
-    assert columns is not None
-    assert _same_reading(columns, _read_rows(io.StringIO(text, newline=""), "income"))
+    with mock.patch.object(cli, "_BLOCK_CHARS", 1000), _no_row_loop():
+        reading = _read(cli._read_csv, text, "income")
+    assert _same_reading(reading, _read(_read_rows, text, "income"))
 
 
 def test_field_size_limit_is_the_row_readers():
+    """A field of the limit's length is split on commas; one longer sends
+    its block to the row loop, which raises the csv reader's error with
+    the field's line, unless an earlier row is invalid."""
     limit = csv.field_size_limit(8)
     try:
-        for field, taken in [("x" * 8, True), ("x" * 9, False)]:
-            text = "v,a\n" + "1,y\n" * 3 + f"2,{field}\n"
-            columns = _read_columns(io.StringIO(text, newline=""), "v")
-            assert (columns is not None) == taken
-            if taken:
-                assert _same_reading(columns, _read_rows(io.StringIO(text, newline=""), "v"))
-            else:
-                with pytest.raises(csv.Error):
-                    _read_rows(io.StringIO(text, newline=""), "v")
+        text = "v,a\n" + "1,y\n" * 3 + f"2,{'x' * 8}\n"
+        with _no_row_loop():
+            reading = _read(cli._read_csv, text, "v")
+        assert _same_reading(reading, _read(_read_rows, text, "v"))
+        text = text.replace("x" * 8, "x" * 9)
+        message = "line 5: field larger than field limit (8)"
+        with pytest.raises(csv.Error) as exc:
+            cli._read_csv(io.StringIO(text, newline=""), "v")
+        assert str(exc.value) == message
+        assert _read(_read_rows, text, "v") == message
+        # a row before the long field's in the same block is rejected first
+        text = text.replace("1,y\n", "x,y\n", 1)
+        assert _read(cli._read_csv, text, "v") == "line 2: cannot parse value 'x'"
+        assert _read(_read_rows, text, "v") == "line 2: cannot parse value 'x'"
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("first", ['"a",1\n', '"a\nb",1\n'], ids=["quoted", "spanning"])
+def test_the_row_loop_reads_only_the_block_it_is_given(first):
+    """One line a block: a quoted field sends its line alone to the row
+    loop, and one that spans the block's end also the lines up to its
+    end; every later line is split on commas."""
+    text = "g,income\n" + first + "a,1\n" * 100
+    row_counts = []
+    read_rows = cli._read_rows
+
+    def counted(*args):
+        values, labels = read_rows(*args)
+        row_counts.append(len(values))
+        return values, labels
+
+    with mock.patch.object(cli, "_BLOCK_CHARS", 1), mock.patch.object(cli, "_read_rows", counted):
+        reading = _read(cli._read_csv, text, "income")
+    assert row_counts == [1]
+    assert _same_reading(reading, _read(_read_rows, text, "income"))
 
 
 @pytest.mark.parametrize(
@@ -466,28 +520,87 @@ def test_field_over_the_size_limit_exit_2(runner, tmp_path):
     assert "Error: line 5: field larger than field limit (8)\n" in res.output
 
 
-# -- the columnar reader against the row reader ----------------------------------
+# -- the block reader against the whole-file row reader ---------------------------
+
+# The row reader `ingest` used for a whole file before it read each file by
+# blocks, kept verbatim as the oracle of the block reader.
+
+
+def _read_rows(fh, value_col: str):
+    """Values, attribute lists and names read with `csv.reader`; the first
+    row it rejects raises an InputError, or a csv.Error, with its line."""
+    rows = _records(csv.reader(fh))
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise InputError("empty dataset") from None
+    _check_header(header, value_col)
+    vi = header.index(value_col)
+    attr_names = [h for h in header if h != value_col]
+    attr_idx = {a: header.index(a) for a in attr_names}
+    values = []
+    attrs: dict[str, list[str]] = {a: [] for a in attr_names}
+    for lineno, row in rows:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise InputError(
+                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            v = float(row[vi])
+        except ValueError:
+            raise InputError(
+                f"line {lineno}: cannot parse value {row[vi]!r}"
+            ) from None
+        if not math.isfinite(v) or v < 0:
+            raise InputError(
+                f"line {lineno}: value must be non-negative and finite"
+            )
+        values.append(v)
+        for a in attr_names:
+            cell = row[attr_idx[a]]
+            if cell == "":
+                raise InputError(
+                    f"line {lineno}: missing category for attribute {a!r}"
+                )
+            attrs[a].append(cell)
+    return values, attrs, attr_names
+
+
+def _records(reader):
+    """(line, row) per record, the line being the file line the record
+    starts on; a csv.Error the reader raises is raised again with it."""
+    lineno = 1
+    try:
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as exc:
+        raise csv.Error(f"line {lineno}: {exc}") from None
+
 
 VALUES = ["1", "0", "2.5", "1e3", "0.1", "-0"]
 CATEGORIES = ["x", "y", "zz"]
 # at most two per text, so that many texts have one odd feature alone
 ODD = (
     [("plain",), ("quoted",), ("crlf",)]
-    + [("row", kind) for kind in ["short", "long", "blank", "commas", "spaces"]]
-    + [("v", v) for v in ["1_000", " 1.5", "nan", "inf", "1e400", "0x10", "", " ", "-1"]]
-    + [("category", c) for c in ["", " ", "a,b", 'q"r']]
+    + [("row", kind) for kind in ["short", "long", "blank", "commas", "spaces", "open"]]
+    + [("v", v) for v in ["1_000", " 1.5", "nan", "inf", "1e400", "0x10", "", " ", "-1", "2\r\n"]]
+    + [("category", c) for c in ["", " ", "a,b", 'q"r', "a\nb", "a\rb", "a\r\nb"]]
 )
 
 
 def _field(text, quote):
-    if quote or "," in text or '"' in text:
+    if quote or any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 @st.composite
 def csv_texts(draw):
-    """CSV texts with a header `v` plus 0-3 attributes."""
+    """CSV texts with a header `v` plus 0-3 attributes, and the field size
+    limit to read them under."""
     odd = draw(st.sets(st.sampled_from(ODD), min_size=1, max_size=2))
     names = draw(st.permutations(["v"] + ["a", "b", "c"][: draw(st.integers(0, 3))]))
     k = len(names)
@@ -519,58 +632,63 @@ def csv_texts(draw):
                 fields.pop()
             elif kind == "long":
                 fields.append("x")
+            elif kind == "open":  # a quote that a later one, or no other, closes
+                fields[-1] = '"' + fields[-1]
             lines.append(",".join(fields))
     # CRLF, or a mix of CRLF and LF
     end = st.sampled_from(["\r\n", "\n"]) if ("crlf",) in odd else st.just("\n")
     text = "".join(line + draw(end) for line in lines)
-    return text if draw(st.booleans()) else text.removesuffix("\n").removesuffix("\r")
+    text = text if draw(st.booleans()) else text.removesuffix("\n").removesuffix("\r")
+    # in a third of the texts, a field size limit that "1_000" and "1e400" exceed
+    return text, draw(st.sampled_from([csv.field_size_limit()] * 2 + [4]))
 
 
-def _read(reader, text):
+def _read(reader, text, value_col="v"):
+    """The reading, or the message of the InputError or csv.Error raised."""
     try:
-        return reader(io.StringIO(text, newline=""), "v")
-    except InputError as exc:
-        return exc.message
-
-
-def _dataset(reading):
-    try:
-        return Dataset(*reading)
-    except IneqError as exc:
+        return reader(io.StringIO(text, newline=""), value_col)
+    except (InputError, csv.Error) as exc:
         return str(exc)
 
 
-def _same_reading(columns, rows):
-    """The reading of `_read_columns` and that of `_read_rows` have the same
-    values and names, and give Datasets with the same levels and codes per
-    attribute, whose decoded attributes are the row reader's lists."""
-    if isinstance(columns, str) or isinstance(rows, str):
-        return columns == rows
-    (vc, _, nc), (vr, attrs, nr) = columns, rows
+def _same_reading(reading, rows):
+    """The block reader's reading has the row reader's values, bit for bit,
+    and names, and per attribute the levels and codes that a Dataset gives
+    the row reader's labels; or both raised the same message."""
+    if isinstance(reading, str) or isinstance(rows, str):
+        return reading == rows
+    (vc, encoded, nc), (vr, attrs, nr) = reading, rows
     if np.asarray(vc, dtype=float).tobytes() != np.asarray(vr, dtype=float).tobytes():
         return False
-    if list(nc) != list(nr):
+    if list(nc) != list(nr) or list(encoded) != list(attrs):
         return False
-    a, b = _dataset(columns), _dataset(rows)
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
     for name in nr:
-        (la, ca), (lb, cb) = a._encode(name), b._encode(name)
-        if la != lb or ca.dtype != cb.dtype or not np.array_equal(ca, cb):
+        levels, codes = encoded[name]
+        if vr:
+            expected = Dataset(np.ones(len(vr)), {name: attrs[name]})._encode(name)
+        else:
+            expected = ([], np.empty(0, np.uint8))
+        if list(levels) != list(expected[0]) or codes.dtype != expected[1].dtype:
             return False
-        if a.attributes[name].tolist() != attrs[name]:
+        if not np.array_equal(codes, expected[1]):
+            return False
+        if np.array(levels, dtype=object)[codes].tolist() != attrs[name]:
             return False
     return True
 
 
 @settings(max_examples=500, deadline=None)
 @given(csv_texts(), st.sampled_from([1, 8, 64, 1 << 16]))
-def test_columnar_reader_agrees_with_row_reader(text, block_chars):
-    """Where the columnar reader takes a text, it reads what the row reader
-    reads; where it gives up, `ingest` uses the row reader. Either way the
-    result or the InputError message is the row reader's."""
-    with mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
-        columns = _read(_read_columns, text)
-    rows = _read(_read_rows, text)
-    if columns is not None:
-        assert _same_reading(columns, rows)
+def test_columnar_reader_agrees_with_row_reader(text_and_limit, block_chars):
+    """Block by block, with quoted fields that span lines and blocks, the
+    block reader reads what the whole-file row reader reads, or raises the
+    same InputError or csv.Error message."""
+    text, limit = text_and_limit
+    limit = csv.field_size_limit(limit)
+    try:
+        with mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
+            reading = _read(cli._read_csv, text)
+        rows = _read(_read_rows, text)
+    finally:
+        csv.field_size_limit(limit)
+    assert _same_reading(reading, rows)

@@ -1,13 +1,11 @@
 """Redundancy lattice, Moebius inversion and subgroup baseline."""
 
-import math
-
-import numpy as np
 import pytest
 
 from ineqlab import (
     Dataset,
     InfiniteMeasure,
+    InvalidMeasure,
     LatticeNode,
     MeasureSpec,
     TooManyAttributes,
@@ -15,7 +13,6 @@ from ineqlab import (
     atkinson_decompose,
     cumulative,
     decompose,
-    ge,
     mld,
     redundancy_lattice,
     subgroup_decompose,
@@ -149,6 +146,12 @@ def test_atkinson_decompose_uniform():
         for _, cum, part in res.nodes:
             assert cum == pytest.approx(0.0, abs=1e-12)
             assert part == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0])
+def test_atkinson_decompose_rejects_eps(d_xor, eps):
+    with pytest.raises(InvalidMeasure):
+        atkinson_decompose(d_xor, ["A", "B"], eps)
 
 
 def test_subgroup_worked_example():

@@ -77,6 +77,9 @@ def test_r_fp_p_one_collapses():
 def test_r_fp_rejects_negative():
     with pytest.raises(NegativeComponent):
         r_fp((-0.1, 0.5), MeasureSpec(pietra()))
+    for v in (math.nan, 0.5), (0.5, math.nan):
+        with pytest.raises(NegativeComponent):
+            r_fp(v, MeasureSpec(theil()))
 
 
 def test_r_fp_zero_share_limits():
@@ -147,6 +150,17 @@ def test_atkinson_transform_hand_values():
     assert atkinson_transform(MLD_13, 1) == pytest.approx(ATK1_13)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    # atkinson(., inf) would be 0.667 on [2, 3, 4], not its limit 1 - min/mean = 0.333
+    with pytest.raises(InvalidMeasure):
+        ge(bad)
+    with pytest.raises(InvalidMeasure):
+        atkinson(Dataset([2, 3, 4]), bad)
+    with pytest.raises(InvalidMeasure):
+        atkinson_transform(0.1, bad)
+
+
 def test_atkinson_transform_domain_error():
     with pytest.raises(TransformDomainError):
         atkinson_transform(100.0, 0.5)
@@ -187,7 +201,9 @@ def test_parse_measure_grammar():
 
 
 @pytest.mark.parametrize(
-    "bad", ["gini", "ge:x", "atkinson:0", "atkinson:-1", "theil@q=1", "theil@p=2", "atkinson:1@p=0.5"]
+    "bad",
+    ["gini", "ge:x", "atkinson:0", "atkinson:-1", "theil@q=1", "theil@p=2", "atkinson:1@p=0.5"]
+    + ["ge:nan", "ge:inf", "ge:-inf", "atkinson:nan", "atkinson:inf", "theil@p=nan"],
 )
 def test_parse_measure_rejects(bad):
     with pytest.raises(InvalidMeasure):

@@ -113,6 +113,12 @@ def test_group_by_unknown_attribute(d_xor):
         group_by(d_xor, {"C"})
 
 
+def test_dataset_rejects_repeated_attribute_names():
+    # else every grouping would read A twice, with keys like ('x', 'x')
+    with pytest.raises(UnknownAttribute, match="attribute 'A' is repeated"):
+        Dataset([1, 2], {"A": ["x", "y"]}, ["A", "A"])
+
+
 def test_group_by_integer_levels_in_string_order():
     d = Dataset([1, 2, 3, 4], {"age": [9, 10, 9, 2]}, ["age"])
     cols, groups = group_by(d, {"age"})
@@ -248,6 +254,11 @@ def test_weighted_columns_validation():
         WeightedColumns([0.5, 0.4], [0.5, 0.5])
     with pytest.raises(NegativeComponent):
         WeightedColumns([1.5, -0.5], [0.5, 0.5])
+    for nan_in in ([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 1.0]):
+        with pytest.raises(NegativeComponent):
+            WeightedColumns(*nan_in)
+    with pytest.raises(ValueError):
+        WeightedColumns([math.inf, 0.5], [0.5, 0.5])
 
 
 def test_column_sums_on_random_inputs(rng):

@@ -1,6 +1,5 @@
 """Shapley values and game synergy of the grouped-inequality game."""
 
-import numpy as np
 import pytest
 
 from ineqlab import (
