@@ -7,6 +7,7 @@ violation). Set INEQLAB_LOG=debug|info|off to control logging.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import logging
@@ -14,6 +15,7 @@ import math
 import os
 import sys
 from itertools import chain, combinations, repeat
+from typing import Sequence
 
 import click
 import numpy as np
@@ -74,17 +76,19 @@ def _setup_logging() -> None:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
 
-def ingest(path: str, value_col: str) -> Dataset:
+def ingest(path: str, value_col: str, attrs: Sequence[str]) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset.
 
-    Every column other than the value column becomes an attribute, given
-    as `Encoded` level codes; the file is read once, by `_read_csv`. A
-    UTF-8 byte order mark is skipped; a byte that is not UTF-8 is
-    reported by its offset in the file and its line.
+    Of the columns other than the value column, those named in `attrs`
+    become attributes, given as `Encoded` level codes; every other column
+    is checked as they are, but not kept. A name that is not a column is
+    left for the library to reject as an unknown attribute. The file is
+    read once, by `_read_csv`. A UTF-8 byte order mark is skipped; a byte
+    that is not UTF-8 is reported by its offset in the file and its line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            columns = _read_csv(fh, value_col)
+            columns = _read_csv(fh, value_col, attrs)
     except UnicodeDecodeError as exc:
         raise InputError(_decode_error(path, exc)) from exc
     except (OSError, csv.Error) as exc:
@@ -92,19 +96,43 @@ def ingest(path: str, value_col: str) -> Dataset:
     return Dataset(*columns)
 
 
+def _line_breaks(data: bytes) -> int:
+    """Line breaks as the csv reader counts them: LF, CR LF or a lone CR."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
 def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
     """The decode error of the whole file, whose position is the byte's
     offset in the file, with the byte's line; `exc` counts positions from
-    the start of the text decoder's chunk."""
+    the start of the text decoder's chunk.
+
+    The file is decoded in blocks of bytes; a sequence cut by a block's end
+    is held by the decoder, so its first error is the whole file's.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset, line, after_cr = 0, 1, False  # bytes and lines before `block`
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        # line breaks as the csv reader counts them: \n, \r\n or a lone \r
-        line = len((raw[: whole.start] + b".").splitlines())
-        return f"{whole} (line {line})"
-    return str(exc)
+        while True:
+            block = fh.read(_BLOCK_CHARS)
+            held = decoder.getstate()[0]  # no line break: bytes of one sequence
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as err:
+                # positions count from the start of held + block
+                start = offset - len(held) + err.start
+                prefix = (held + block)[: err.start]
+                line += _line_breaks(prefix) - (after_cr and prefix.startswith(b"\n"))
+                if err.end == err.start + 1:
+                    where = f"byte 0x{err.object[err.start]:02x} in position {start}"
+                else:
+                    where = f"bytes in position {start}-{start + err.end - err.start - 1}"
+                return f"'utf-8' codec can't decode {where}: {err.reason} (line {line})"
+            if not block:
+                return str(exc)
+            # a \r\n split across two blocks is one line break
+            line += _line_breaks(block) - (after_cr and block.startswith(b"\n"))
+            offset += len(block)
+            after_cr = block.endswith(b"\r")
 
 
 def _check_header(header: list[str], value_col: str) -> None:
@@ -115,19 +143,22 @@ def _check_header(header: list[str], value_col: str) -> None:
         raise InputError(f"missing value column {value_col!r}")
 
 
-# characters per block of lines: a block's fields are transient, so they
-# stay small next to the columns they fill
+# characters per block of lines (bytes per block in `_decode_error`): a
+# block's fields are transient, so they stay small next to the columns they fill
 _BLOCK_CHARS = 1 << 16
 
 
-def _read_csv(fh, value_col: str):
+def _read_csv(fh, value_col: str, attrs=None):
     """Values, `Encoded` attribute columns and names of a CSV.
 
-    The header is read with `csv.reader`, then blocks of whole lines: a
-    block that `_split_block` takes is split on commas, and any other is
-    read by `_read_rows`, which reads on into the file only for a quoted
-    field that spans the block's end. Each block's labels become level
-    codes at once. Raises the header's or first invalid row's error.
+    The attributes are the columns named in `attrs`, in the header's order,
+    or with None every column but the value column. The header is read with
+    `csv.reader`, then blocks of whole lines: a block that `_split_block`
+    takes is split on commas, and any other is read by `_read_rows`, which
+    reads on into the file only for a quoted field that spans the block's
+    end. Each block's labels of the attributes become level codes at once;
+    the other columns are checked and dropped. Raises the header's or first
+    invalid row's error.
     """
     reader = csv.reader(fh)
     try:
@@ -138,11 +169,13 @@ def _read_csv(fh, value_col: str):
     _check_header(header, value_col)
     vi = header.index(value_col)
     attr_idx = [i for i, h in enumerate(header) if i != vi]
-    encoders = [_level_encoder() for _ in attr_idx]
+    # positions in attr_idx of the attributes kept
+    kept = [k for k, j in enumerate(attr_idx) if attrs is None or header[j] in attrs]
+    encoders = [_level_encoder() for _ in kept]
     # each block's values and, per attribute, first-seen level codes; each
     # list starts with an empty block, so that a CSV without rows concatenates
     blocks = [np.empty(0)]
-    codes = [[np.empty(0, np.uint8)] for _ in attr_idx]
+    codes = [[np.empty(0, np.uint8)] for _ in kept]
     lines_read = reader.line_num
     while lines := fh.readlines(_BLOCK_CHARS):
         block = _split_block(lines, len(header), vi, attr_idx)
@@ -154,14 +187,16 @@ def _read_csv(fh, value_col: str):
             lines_read += len(lines)
         values, labels = block
         blocks.append(values)
-        for code_of, column, cells in zip(encoders, codes, labels):
+        for code_of, column, k in zip(encoders, codes, kept):
+            cells = labels[k]
             first_seen = np.fromiter(map(code_of.__getitem__, cells), np.intp, len(cells))
             column.append(first_seen.astype(np.min_scalar_type(len(code_of))))
-    attrs = {
-        header[j]: _sorted_encoding(code_of, np.concatenate(column))
-        for j, code_of, column in zip(attr_idx, encoders, codes)
+    names = [header[attr_idx[k]] for k in kept]
+    attributes = {
+        name: _sorted_encoding(code_of, np.concatenate(column))
+        for name, code_of, column in zip(names, encoders, codes)
     }
-    return np.concatenate(blocks), attrs, list(attrs)
+    return np.concatenate(blocks), attributes, names
 
 
 def _split_block(lines: list[str], k: int, vi: int, attr_idx: list[int]):
@@ -293,7 +328,7 @@ def main() -> None:
 @precision_opt
 def cmd_measure(path, value_col, measure_str, fmt, precision):
     """Compute one inequality measure over the whole population."""
-    pop = ingest(path, value_col)
+    pop = ingest(path, value_col, ())
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         value = atkinson(pop, parsed)
@@ -310,9 +345,10 @@ def cmd_measure(path, value_col, measure_str, fmt, precision):
 @precision_opt
 def cmd_lorenz(path, value_col, group_attrs, precision):
     """Emit the canonical chain vertices as x,y CSV."""
-    pop = ingest(path, value_col)
+    attrs = [a.strip() for a in group_attrs.split(",")] if group_attrs else []
+    pop = ingest(path, value_col, attrs)
     if group_attrs:
-        cols = grouped_columns(pop, [a.strip() for a in group_attrs.split(",")])
+        cols = grouped_columns(pop, attrs)
     else:
         cols = population_matrix(pop)
     vertices = canonical_chain(cols).vertices.tolist()
@@ -328,8 +364,8 @@ def cmd_lorenz(path, value_col, group_attrs, precision):
 @precision_opt
 def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
     """Redundant/unique/synergetic decomposition over the attribute lattice."""
-    pop = ingest(path, value_col)
     attrs = [a.strip() for a in attrs_str.split(",")]
+    pop = ingest(path, value_col, attrs)
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         result = atkinson_decompose(pop, attrs, parsed)
@@ -370,8 +406,8 @@ def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
 @precision_opt
 def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
     """Exact Shapley values of the grouped-inequality game."""
-    pop = ingest(path, value_col)
     attrs = [a.strip() for a in attrs_str.split(",")]
+    pop = ingest(path, value_col, attrs)
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         raise InvalidMeasure("shapley requires an f-inequality measure")
@@ -398,7 +434,7 @@ def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
 @precision_opt
 def cmd_subgroup(path, value_col, measure_str, group_attr, fmt, precision):
     """Classical GE between/within subgroup decomposition."""
-    pop = ingest(path, value_col)
+    pop = ingest(path, value_col, [group_attr])
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         raise InvalidMeasure("subgroup decomposition is defined for the GE family")

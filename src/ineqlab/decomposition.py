@@ -10,9 +10,10 @@ Also contains the classical GE subgroup decomposition used as a baseline.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
@@ -139,37 +140,74 @@ class DecompositionResult:
         }
 
 
-def _source_zonogon(pop: Dataset, source: tuple[str, ...], cache: dict) -> Zonogon:
-    if source not in cache:
-        cache[source] = canonical_chain(grouped_columns(pop, source))
-    return cache[source]
+def _node_chain(pop: Dataset, sources: tuple[tuple[str, ...], ...], chains: dict) -> Zonogon:
+    """The meet of the sources' chains, kept in `chains` by the source tuple.
 
-
-def _node_zonogon(pop: Dataset, node: LatticeNode, cache: dict) -> Zonogon:
-    return meet_all([_source_zonogon(pop, s, cache) for s in node.sources])
+    A node of several sources is the meet of the chain of all its sources
+    but the last with the last one's chain: the left fold of `meet_all`, so
+    each vertex has the same bits, and a meet shared by nodes is made once.
+    """
+    if sources not in chains:
+        if len(sources) == 1:
+            chains[sources] = canonical_chain(grouped_columns(pop, sources[0]))
+        else:
+            head = _node_chain(pop, sources[:-1], chains)
+            chains[sources] = meet_all([head, _node_chain(pop, sources[-1:], chains)])
+    return chains[sources]
 
 
 def cumulative(node: LatticeNode, pop: Dataset, spec: MeasureSpec) -> float:
     """Inequality of the meet of the node's source zonogons."""
-    z = _node_zonogon(pop, node, {})
-    return inequality(z.to_columns(), spec)
+    return inequality(_node_chain(pop, node.sources, {}).to_columns(), spec)
+
+
+def _first_invalid(x: np.ndarray, y: np.ndarray, stops: list[int]):
+    """Index of the first run of (x, y) columns, the runs ending at `stops`,
+    that `WeightedColumns` rejects, with its error, or (len(stops), None)."""
+    runs = list(zip([0, *stops], stops))
+    valid = (x >= 0) & (y >= 0)  # a NaN fails
+    negative = len(runs) if valid.all() else bisect_right(stops, valid.argmin())
+    for i, (a, b) in enumerate(runs[:negative]):
+        tol = _SUM_TOL * max(1, b - a)
+        if not (abs(x[a:b].sum() - 1.0) <= tol and abs(y[a:b].sum() - 1.0) <= tol):
+            return i, ValueError("weights and shares must each sum to one")
+    if negative < len(runs):
+        return negative, NegativeComponent("weights and shares must be non-negative")
+    return len(runs), None
 
 
 def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=None):
     """Cumulative per node (through `transform`, if given), then a Moebius
     pass: each partial is the cumulative minus its strict predecessors'
-    partials."""
+    partials.
+
+    Every node's chain is built once (`_node_chain`), and r is taken over
+    all nodes' edges in one pass; a node's cumulative is the sum of its run
+    of that pass, so it has the bits of `inequality` on the node's columns.
+    Errors come in node order, as a node-by-node loop would raise them: a
+    node's columns are checked as `WeightedColumns` checks them, and r is
+    taken only over the nodes before the first invalid one.
+    """
     nodes, _, preds = _lattice_cached(tuple(attrs))
-    cache: dict = {}
+    chains: dict = {}
     # the joint source (the last node's) first, so the Dataset sorts the
     # records once and projects every other source's grouping from it
-    _source_zonogon(pop, nodes[-1].sources[0], cache)
+    _node_chain(pop, nodes[-1].sources, chains)
+    edges = [_node_chain(pop, node.sources, chains).edges for node in nodes]
+    stops = list(accumulate(map(len, edges)))
+    starts = [0, *stops]
+    columns = np.concatenate(edges)
+    x, y = columns[:, 0], columns[:, 1]
+    first_invalid, error = _first_invalid(x, y, stops)
+    terms = _r(x[: starts[first_invalid]], y[: starts[first_invalid]], spec)
     cumulatives = []
-    for node in nodes:
-        value = inequality(_node_zonogon(pop, node, cache).to_columns(), spec)
+    for node, a, b in zip(nodes[:first_invalid], starts, stops):
+        value = _summed(terms[a:b])
         if math.isinf(value):
             raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
         cumulatives.append(value if transform is None else transform(value))
+    if error is not None:
+        raise error
     partials: list[float] = []
     for cum, below in zip(cumulatives, preds):
         partials.append(cum - sum(partials[i] for i in below))

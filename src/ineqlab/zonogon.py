@@ -140,10 +140,10 @@ def _prune_collinear(points: np.ndarray) -> np.ndarray:
     """Drop interior points of straight runs; keep a concave vertex chain."""
     if len(points) <= 2:
         return points
-    d1 = points[1:-1] - points[:-2]
-    d2 = points[2:] - points[1:-1]
-    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    scale = np.maximum(1.0, np.hypot(*d1.T) * np.hypot(*d2.T))
+    d = points[1:] - points[:-1]
+    cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
+    length = np.hypot(d[:, 0], d[:, 1])
+    scale = np.maximum(1.0, length[:-1] * length[1:])
     keep = np.ones(len(points), dtype=bool)
     keep[1:-1] = np.abs(cross) > MERGE_TOL * scale
     return points[keep]
@@ -164,26 +164,23 @@ def meet(z1: Zonogon, z2: Zonogon) -> Zonogon:
     y1 = z1.value_at(xs)
     y2 = z2.value_at(xs)
     d = y1 - y2
-    pts_x = [xs]
-    pts_y = [np.minimum(y1, y2)]
+    px, py = xs, np.minimum(y1, y2)
     sign_change = d[:-1] * d[1:] < 0
-    if np.any(sign_change):
-        i = np.nonzero(sign_change)[0]
+    if sign_change.any():
+        i = np.flatnonzero(sign_change)
         # both chains are linear between consecutive candidate x's
         t = d[i] / (d[i] - d[i + 1])
         cx = xs[i] + t * (xs[i + 1] - xs[i])
         cy = y1[i] + t * (y1[i + 1] - y1[i])
-        pts_x.append(cx)
-        pts_y.append(cy)
-    px = np.concatenate(pts_x)
-    py = np.concatenate(pts_y)
-    order_idx = np.argsort(px, kind="stable")
-    points = np.column_stack([px, py])[order_idx]
+        px, py = np.concatenate([px, cx]), np.concatenate([py, cy])
+        order_idx = np.argsort(px, kind="stable")
+        px, py = px[order_idx], py[order_idx]
     # collapse x values one ulp apart; a near-zero edge between them would
     # defeat the collinearity pruning and drop a genuine corner
-    distinct = np.ones(len(points), dtype=bool)
-    distinct[1:] = np.diff(points[:, 0]) > MERGE_TOL
-    points = points[distinct]
+    distinct = np.ones(len(px), dtype=bool)
+    distinct[1:] = px[1:] - px[:-1] > MERGE_TOL
+    points = np.empty((int(distinct.sum()), 2))
+    points[:, 0], points[:, 1] = px[distinct], py[distinct]
     if points[0, 1] > 0:  # both chains start with a vertical edge
         points = np.vstack([[0.0, 0.0], points])
     points = _prune_collinear(points)
@@ -192,7 +189,7 @@ def meet(z1: Zonogon, z2: Zonogon) -> Zonogon:
     # share into a residue of either sign; take such a share from the slope
     # of the lower source chain's edge under the piece, where the two agree
     # within MERGE_TOL * y (a piece over a corner pruned as collinear does not)
-    edges = np.diff(points, axis=0)
+    edges = points[1:] - points[:-1]
     thin = np.flatnonzero(np.abs(edges[:, 1]) <= 2.0**-20 * points[1:, 1])
     if len(thin):
         mid = (points[thin, 0] + points[thin + 1, 0]) / 2

@@ -508,6 +508,132 @@ def test_non_utf8_input_exit_2(runner, tmp_path, data, offset, line):
         )
 
 
+def _whole_file_decode_error(raw: bytes) -> str:
+    """The message `ingest` gives for a file of bytes `raw` that is not
+    UTF-8, from the whole file decoded at once."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = len((raw[: whole.start] + b".").splitlines())
+        return f"{whole} (line {line})"
+    raise AssertionError("the bytes are UTF-8")
+
+
+@pytest.mark.parametrize(
+    "data, block",
+    [
+        # a CR LF whose CR ends the first block, before the bad byte
+        (b"g,income\r\na,1\r\n\xff,2\r\n", len(b"g,income\r")),
+        # a bad byte after the first block, CR and lone-CR lines before it
+        (b"g,income\ra,1\r\nb,2\n" * 5 + b"\xff,2\n", 8),
+        # a two-byte sequence cut by the block's end, then a bad continuation
+        (b"g,income\n\xc3\xa9,1\n\xe2\x82A,2\n", len(b"g,income\n\xc3")),
+    ],
+    ids=["crlf-across-blocks", "after-first-block", "sequence-across-blocks"],
+)
+def test_decode_error_is_read_block_by_block(runner, tmp_path, data, block):
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    with mock.patch.object(cli, "_BLOCK_CHARS", block):
+        res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
+    assert res.exit_code == 2
+    assert res.output.endswith(f"Error: {_whole_file_decode_error(data)}\n")
+
+
+PIECES = [b"a", b",", b"\n", b"\r", b"\r\n", "\u00e9".encode(), "\u20ac".encode(),
+          "\U0001f600".encode(), b"\xff", b"\x80", b"\xe2", b"\xe2\x82", b"\xf0\x9f",
+          b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=30), st.sampled_from([1, 2, 3, 5, 64]))
+def test_decode_error_matches_the_whole_file_decode(tmp_path_factory, pieces, block):
+    """Bytes in blocks of any size give the message of the whole file
+    decoded at once: the first bad sequence's offset, bytes and reason, and
+    its line, with LF, CR LF and lone CR breaks, a CR LF or a sequence cut
+    by a block's end, and a sequence the file's end cuts short."""
+    raw = b"".join(pieces)
+    try:
+        raw.decode("utf-8")
+        return
+    except UnicodeDecodeError:
+        pass
+    p = tmp_path_factory.mktemp("decode") / "d.csv"
+    p.write_bytes(raw)
+    with mock.patch.object(cli, "_BLOCK_CHARS", block):
+        assert cli._decode_error(str(p), None) == _whole_file_decode_error(raw)
+
+
+COMMANDS_AND_ATTRIBUTES = [
+    (["measure"], []),
+    (["lorenz"], []),
+    (["lorenz", "--group-by", "C, A"], ["A", "C"]),
+    (["decompose", "--attrs", "B,A"], ["A", "B"]),
+    (["shapley", "--attrs", "C,A,B"], ["A", "B", "C"]),
+    (["subgroup", "--group-by", "B", "--measure", "theil"], ["B"]),
+]
+
+
+@pytest.mark.parametrize("args, encoded", COMMANDS_AND_ATTRIBUTES,
+                         ids=[" ".join(a) for a, _ in COMMANDS_AND_ATTRIBUTES])
+def test_ingest_encodes_only_the_attributes_a_command_uses(runner, tmp_path, args, encoded):
+    p = tmp_path / "d.csv"
+    p.write_text("A,income,B,C\na,1,x,p\nb,2,y,q\na,3,y,p\nb,0,x,q\n")
+    datasets = []
+    ingest = cli.ingest
+
+    def recorded(*a):
+        datasets.append(ingest(*a))
+        return datasets[-1]
+
+    with mock.patch.object(cli, "ingest", recorded):
+        res = invoke(runner, [args[0], "-i", str(p), "--value-col", "income", *args[1:]])
+    assert res.exit_code == 0
+    assert [list(d.attribute_names) for d in datasets] == [encoded]
+    with open(p, newline="") as fh:
+        every = Dataset(*cli._read_csv(fh, "income"))
+    for name in encoded:
+        assert datasets[0].attributes[name].tolist() == every.attributes[name].tolist()
+
+
+@pytest.mark.parametrize("args", [a for a, _ in COMMANDS_AND_ATTRIBUTES],
+                         ids=[" ".join(a) for a, _ in COMMANDS_AND_ATTRIBUTES])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b,2,y,", "line 3: missing category for attribute 'C'"),
+        ("b,2,y", "line 3: expected 4 fields, got 3"),
+        ('"b",2,"y",""', "line 3: missing category for attribute 'C'"),
+    ],
+    ids=["empty", "short", "quoted-empty"],
+)
+def test_columns_a_command_does_not_use_are_still_checked(runner, tmp_path, args, row, message):
+    p = tmp_path / "d.csv"
+    p.write_text(f"A,income,B,C\na,1,x,p\n{row}\na,3,y,p\n")
+    res = runner.invoke(main, [args[0], "-i", str(p), "--value-col", "income", *args[1:]])
+    assert res.exit_code == 2
+    assert res.output.endswith(f"Error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lorenz", "--group-by", "A,Z"],
+        ["decompose", "--attrs", "A,Z"],
+        ["decompose", "--attrs", "A,income"],
+        ["shapley", "--attrs", "Z"],
+        ["subgroup", "--group-by", "Z"],
+    ],
+)
+def test_a_name_that_is_not_an_attribute_exit_2(runner, tmp_path, args):
+    p = tmp_path / "d.csv"
+    p.write_text("A,income,B\na,1,x\nb,2,y\n")
+    res = runner.invoke(main, [args[0], "-i", str(p), "--value-col", "income", *args[1:]])
+    assert res.exit_code == 2
+    name = args[-1].split(",")[-1]
+    assert res.output.endswith(f"Error: unknown attribute {name!r}\n")
+
+
 def test_field_over_the_size_limit_exit_2(runner, tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("g,income\n" + "a,1\n" * 3 + f"{'x' * 9},2\n")

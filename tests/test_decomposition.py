@@ -1,6 +1,11 @@
 """Redundancy lattice, Moebius inversion and subgroup baseline."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqlab import (
     Dataset,
@@ -8,16 +13,25 @@ from ineqlab import (
     InvalidMeasure,
     LatticeNode,
     MeasureSpec,
+    NegativeComponent,
     TooManyAttributes,
+    Zonogon,
     atkinson,
     atkinson_decompose,
     cumulative,
     decompose,
+    ge,
     mld,
+    pietra,
     redundancy_lattice,
     subgroup_decompose,
     theil,
 )
+from ineqlab import decomposition, zonogon
+from ineqlab.decomposition import DecompositionResult, _lattice_cached
+from ineqlab.measures import _check_eps, atkinson_transform, inequality
+from ineqlab.population import grouped_columns
+from ineqlab.zonogon import canonical_chain, meet_all
 from conftest import random_dataset
 
 THEIL_13 = 0.13081203594113697
@@ -197,3 +211,182 @@ def test_decompose_scale_invariance(rng):
             assert n1 == n2
             assert c1 == pytest.approx(c2, abs=1e-12)
             assert p1 == pytest.approx(p2, abs=1e-12)
+
+
+# -- the one-pass lattice against the node-by-node loop ---------------------------
+
+# The node-by-node loop `decompose` ran before it evaluated the lattice in one
+# pass, kept verbatim as the oracle: `meet_all` per node, `inequality` of
+# each node's columns, then the Moebius pass.
+
+
+def _source_zonogon(pop, source, cache):
+    if source not in cache:
+        cache[source] = canonical_chain(grouped_columns(pop, source))
+    return cache[source]
+
+
+def _node_zonogon(pop, node, cache):
+    return meet_all([_source_zonogon(pop, s, cache) for s in node.sources])
+
+
+def _oracle_decompose(pop, attrs, spec, transform=None):
+    nodes, _, preds = _lattice_cached(tuple(attrs))
+    cache: dict = {}
+    _source_zonogon(pop, nodes[-1].sources[0], cache)
+    cumulatives = []
+    for node in nodes:
+        value = inequality(_node_zonogon(pop, node, cache).to_columns(), spec)
+        if math.isinf(value):
+            raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
+        cumulatives.append(value if transform is None else transform(value))
+    partials: list[float] = []
+    for cum, below in zip(cumulatives, preds):
+        partials.append(cum - sum(partials[i] for i in below))
+    return DecompositionResult(tuple(zip(nodes, cumulatives, partials)), cumulatives[-1])
+
+
+def _oracle_atkinson(pop, attrs, eps):
+    _check_eps(eps)
+    return _oracle_decompose(
+        pop, attrs, MeasureSpec(ge(1.0 - eps)), lambda v: atkinson_transform(v, eps)
+    )
+
+
+def _outcome(call):
+    """Cumulatives, partials and total as arrays, or the error's class and message."""
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    cums = np.array([c for _, c, _ in result.nodes])
+    parts = np.array([p for _, _, p in result.nodes])
+    return [[n for n, _, _ in result.nodes], cums, parts, np.array(result.total)]
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    return got[0] == want[0] and all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+
+@st.composite
+def lattice_cases(draw):
+    """A Dataset of 2 or 3 attributes, some incomes zero, its attributes, and
+    a MeasureSpec or, for the Atkinson route, an eps."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 40))
+    names = ["A", "B", "C"][:k]
+    levels = [draw(st.integers(1, 4)) for _ in names]
+    attrs = {
+        name: [f"{name.lower()}{draw(st.integers(0, m - 1))}" for _ in range(n)]
+        for name, m in zip(names, levels)
+    }
+    income = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 3.5]), st.floats(0.01, 100.0))
+    values = [draw(income) for _ in range(n)]
+    if not any(values):
+        values[draw(st.integers(0, n - 1))] = draw(st.floats(0.01, 100.0))
+    d = Dataset(values, attrs, names)
+    f = draw(st.sampled_from([theil(), mld(), ge(-1.0), ge(0.5), ge(2.0), pietra(), None]))
+    if f is None:  # the Atkinson route
+        return d, names, None, draw(st.sampled_from([0.5, 1.0, 2.0]))
+    p = draw(st.sampled_from([0.0, 0.3, 1.0])) if f.name == "pietra" else 0.0
+    return d, names, MeasureSpec(f, p), None
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_cases())
+def test_one_pass_lattice_matches_the_node_by_node_loop(case):
+    """Every cumulative, partial and total has the loop's bits, or the same
+    error is raised, for the f-measure and the Atkinson routes."""
+    d, attrs, spec, eps = case
+    if spec is None:
+        got = _outcome(lambda: atkinson_decompose(d, attrs, eps))
+        want = _outcome(lambda: _oracle_atkinson(d, attrs, eps))
+    else:
+        got = _outcome(lambda: decompose(d, attrs, spec))
+        want = _outcome(lambda: _oracle_decompose(d, attrs, spec))
+    assert _same_outcome(got, want)
+
+
+def _count_meets(monkeypatch):
+    calls = []
+    meet = zonogon.meet
+
+    def counted(z1, z2):
+        calls.append(1)
+        return meet(z1, z2)
+
+    monkeypatch.setattr(zonogon, "meet", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, meets", [(2, 1), (3, 11)])
+def test_each_meet_is_made_once(monkeypatch, rng, k, meets):
+    """A meet shared by several nodes is made once: 1 of 2-attribute
+    lattices' meets and 11 of 3-attribute ones' (13 node by node)."""
+    d = random_dataset(rng, n_attrs=k, max_n=60, max_cats=3)
+    calls = _count_meets(monkeypatch)
+    decompose(d, d.attribute_names, SPEC)
+    assert len(calls) == meets
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cumulative_is_the_decomposition_cumulative(rng, k):
+    for _ in range(10):
+        d = random_dataset(rng, n_attrs=k, max_n=60, max_cats=3)
+        result = decompose(d, d.attribute_names, SPEC)
+        for node, cum, _ in result.nodes:
+            assert cumulative(node, d, SPEC) == cum
+
+
+def _chain(edges):
+    edges = np.array(edges, dtype=float)
+    return Zonogon(np.vstack([[0.0, 0.0], np.cumsum(edges, axis=0)]), generators=edges)
+
+
+GOOD = [[0.5, 0.8], [0.5, 0.2]]
+INFINITE = [[0.5, 1.0], [0.5, 0.0]]  # MLD of a zero-share column is infinite
+NEGATIVE = [[0.5, 1.0 + 1e-9], [0.5, -1e-9]]
+NAN = [[0.5, float("nan")], [0.5, 0.5]]
+OFF_SUM = [[0.5, 0.7], [0.5, 0.2]]
+NEGATIVE_OFF_SUM = [[0.5, 1.2], [0.5, -0.1]]
+NEAR_SUM = [[0.5, 0.8], [0.5, 0.2 + 1.5e-12]]  # within 1e-12 per column of one
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({1: NEGATIVE, 3: INFINITE}, id="negative-then-infinite"),
+        pytest.param({1: INFINITE, 3: NEGATIVE}, id="infinite-then-negative"),
+        pytest.param({1: INFINITE, 2: OFF_SUM}, id="infinite-then-off-sum"),
+        pytest.param({0: OFF_SUM, 1: NEGATIVE}, id="off-sum-then-negative"),
+        pytest.param({1: OFF_SUM, 2: NEGATIVE}, id="off-sum-then-negative-later"),
+        pytest.param({2: NEGATIVE_OFF_SUM}, id="negative-and-off-sum"),
+        pytest.param({1: NAN, 2: OFF_SUM}, id="nan-then-off-sum"),
+        pytest.param({3: INFINITE}, id="infinite-joint"),
+        pytest.param({1: NEAR_SUM, 3: INFINITE}, id="near-sum-then-infinite"),
+    ],
+)
+@pytest.mark.parametrize("atkinson_route", [False, True])
+def test_errors_come_in_node_order(monkeypatch, bad, atkinson_route):
+    """The first node whose columns fail a check or whose cumulative is
+    infinite raises, as in the node-by-node loop."""
+    d = Dataset([1.0, 2.0], {"A": ["a", "b"], "B": ["x", "y"]})
+    nodes = redundancy_lattice(["A", "B"])[0]
+    chains = {n.sources: _chain(bad.get(i, GOOD)) for i, n in enumerate(nodes)}
+    monkeypatch.setattr(decomposition, "_node_chain", lambda pop, sources, _: chains[sources])
+    if atkinson_route:
+        got = _outcome(lambda: atkinson_decompose(d, ["A", "B"], 1.0))
+    else:
+        got = _outcome(lambda: decompose(d, ["A", "B"], MeasureSpec(mld())))
+    for i, node in enumerate(nodes):
+        try:
+            columns = chains[node.sources].to_columns()
+        except (NegativeComponent, ValueError) as exc:
+            assert got == (type(exc), str(exc))
+            return
+        if math.isinf(inequality(columns, MeasureSpec(mld()))):
+            assert got == (InfiniteMeasure, f"cumulative value of node {node} is infinite")
+            return
+    raise AssertionError("every case has an invalid node")

@@ -27,7 +27,7 @@ from ineqlab import (
     population_matrix,
     theil,
 )
-from ineqlab.zonogon import MERGE_TOL, _merge_parallel
+from ineqlab.zonogon import MERGE_TOL, _merge_parallel, _rest_and_slope
 from conftest import chain_value, random_dataset, upper_hull
 
 
@@ -403,3 +403,86 @@ def _columns_of_size_1_over_n(draw):
 @given(st.one_of(_pooled_vectors(), _near_cutoff_pairs(), _columns_of_size_1_over_n()))
 def test_merge_parallel_matches_the_numpy_scalar_loop(vectors):
     assert np.array_equal(_merge_parallel(vectors), _merge_parallel_oracle(vectors))
+
+
+# `meet` as it was before it made fewer numpy calls, kept verbatim as the
+# oracle: its vertices and generating edges must keep their bits.
+
+
+def _prune_collinear_oracle(points):
+    if len(points) <= 2:
+        return points
+    d1 = points[1:-1] - points[:-2]
+    d2 = points[2:] - points[1:-1]
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    scale = np.maximum(1.0, np.hypot(*d1.T) * np.hypot(*d2.T))
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:-1] = np.abs(cross) > MERGE_TOL * scale
+    return points[keep]
+
+
+def _meet_oracle(z1, z2):
+    xs = np.sort(np.concatenate([z1.vertices[:, 0], z2.vertices[:, 0]]))
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    xs = xs[first]
+    y1 = z1.value_at(xs)
+    y2 = z2.value_at(xs)
+    d = y1 - y2
+    pts_x = [xs]
+    pts_y = [np.minimum(y1, y2)]
+    sign_change = d[:-1] * d[1:] < 0
+    if np.any(sign_change):
+        i = np.nonzero(sign_change)[0]
+        t = d[i] / (d[i] - d[i + 1])
+        cx = xs[i] + t * (xs[i + 1] - xs[i])
+        cy = y1[i] + t * (y1[i + 1] - y1[i])
+        pts_x.append(cx)
+        pts_y.append(cy)
+    px = np.concatenate(pts_x)
+    py = np.concatenate(pts_y)
+    order_idx = np.argsort(px, kind="stable")
+    points = np.column_stack([px, py])[order_idx]
+    distinct = np.ones(len(points), dtype=bool)
+    distinct[1:] = np.diff(points[:, 0]) > MERGE_TOL
+    points = points[distinct]
+    if points[0, 1] > 0:
+        points = np.vstack([[0.0, 0.0], points])
+    points = _prune_collinear_oracle(points)
+    edges = np.diff(points, axis=0)
+    thin = np.flatnonzero(np.abs(edges[:, 1]) <= 2.0**-20 * points[1:, 1])
+    if len(thin):
+        mid = (points[thin, 0] + points[thin + 1, 0]) / 2
+        (rest1, slope1), (rest2, slope2) = _rest_and_slope(z1, mid), _rest_and_slope(z2, mid)
+        share = edges[thin, 0] * np.where(rest1 >= rest2, slope1, slope2)
+        agree = np.abs(share - edges[thin, 1]) <= MERGE_TOL * points[thin + 1, 1]
+        edges[thin[agree], 1] = share[agree]
+    return Zonogon(points, generators=edges)
+
+
+@st.composite
+def _grouped_chains(draw):
+    """The chain of a few groups: counts 0-3 (a zero count gives a vertical
+    edge), sums from a small pool with zeros, so that slopes tie and edges
+    are horizontal; now and then the meet of two such chains."""
+    def chain():
+        k = draw(st.integers(1, 6))
+        counts = [draw(st.integers(0, 3)) for _ in range(k)]
+        sums = [draw(st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.7, 1e-9])) for _ in range(k)]
+        if not any(counts):
+            counts[0] = 1
+        if not any(sums):
+            sums[-1] = 1.0
+        w, s = np.array(counts, float), np.array(sums)
+        return canonical_chain(WeightedColumns(w / w.sum(), s / s.sum()))
+
+    z = chain()
+    return meet(z, chain()) if draw(st.booleans()) else z
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grouped_chains(), _grouped_chains())
+def test_meet_matches_the_former_meet(z1, z2):
+    got, want = meet(z1, z2), _meet_oracle(z1, z2)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.edges, want.edges)
