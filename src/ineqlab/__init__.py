@@ -16,7 +16,6 @@ from .measures import (
     MeasureSpec,
     atkinson,
     atkinson_transform,
-    classic_index,
     custom,
     ge,
     inequality,
@@ -29,7 +28,6 @@ from .measures import (
 from .population import (
     Dataset,
     Encoded,
-    Record,
     WeightedColumns,
     bottom,
     group_by,

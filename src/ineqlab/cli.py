@@ -434,6 +434,7 @@ def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
 @precision_opt
 def cmd_subgroup(path, value_col, measure_str, group_attr, fmt, precision):
     """Classical GE between/within subgroup decomposition."""
+    group_attr = group_attr.strip()
     pop = ingest(path, value_col, [group_attr])
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":

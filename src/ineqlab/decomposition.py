@@ -10,7 +10,6 @@ Also contains the classical GE subgroup decomposition used as a baseline.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -18,14 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfiniteMeasure, NegativeComponent, TooManyAttributes
+from .errors import InfiniteMeasure, TooManyAttributes
 from .measures import MeasureSpec, _check_eps, _r, _summed, atkinson_transform, ge, inequality
 from .population import (
-    _SUM_TOL,
     Dataset,
-    WeightedColumns,
     _cells,
     _check_distinct,
+    _first_invalid,
     grouped_columns,
     population_matrix,
 )
@@ -161,21 +159,6 @@ def cumulative(node: LatticeNode, pop: Dataset, spec: MeasureSpec) -> float:
     return inequality(_node_chain(pop, node.sources, {}).to_columns(), spec)
 
 
-def _first_invalid(x: np.ndarray, y: np.ndarray, stops: list[int]):
-    """Index of the first run of (x, y) columns, the runs ending at `stops`,
-    that `WeightedColumns` rejects, with its error, or (len(stops), None)."""
-    runs = list(zip([0, *stops], stops))
-    valid = (x >= 0) & (y >= 0)  # a NaN fails
-    negative = len(runs) if valid.all() else bisect_right(stops, valid.argmin())
-    for i, (a, b) in enumerate(runs[:negative]):
-        tol = _SUM_TOL * max(1, b - a)
-        if not (abs(x[a:b].sum() - 1.0) <= tol and abs(y[a:b].sum() - 1.0) <= tol):
-            return i, ValueError("weights and shares must each sum to one")
-    if negative < len(runs):
-        return negative, NegativeComponent("weights and shares must be non-negative")
-    return len(runs), None
-
-
 def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=None):
     """Cumulative per node (through `transform`, if given), then a Moebius
     pass: each partial is the cumulative minus its strict predecessors'
@@ -184,9 +167,9 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
     Every node's chain is built once (`_node_chain`), and r is taken over
     all nodes' edges in one pass; a node's cumulative is the sum of its run
     of that pass, so it has the bits of `inequality` on the node's columns.
-    Errors come in node order, as a node-by-node loop would raise them: a
-    node's columns are checked as `WeightedColumns` checks them, and r is
-    taken only over the nodes before the first invalid one.
+    Errors come in node order, as a node-by-node loop would raise them:
+    each node's run of columns is checked by `population._first_invalid`,
+    and r is taken only over the nodes before the first invalid one.
     """
     nodes, _, preds = _lattice_cached(tuple(attrs))
     chains: dict = {}
@@ -253,14 +236,15 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     between + sum(w_g * within_g) equals the total GE_c.
 
     The records are split into groups by one sort, each group's in record
-    order, and r is taken over all groups' columns in one pass. A group's
-    indicator sum and within value are sums over its run of that pass, so
-    each has the bits of the group's own population matrix and
-    `inequality`.
+    order. Each group's run of columns is checked by
+    `population._first_invalid`, and r is taken over all groups' columns in
+    one pass. A group's indicator sum and within value are sums over its run
+    of that pass, so each has the bits of the group's own population matrix
+    and `inequality`.
     """
     spec = MeasureSpec(ge(c))
     cells = _cells(pop, [attr])
-    cols = WeightedColumns(cells.counts / len(pop), cells.sums / pop.indicators.sum())
+    cols = cells.columns
     between = inequality(cols, spec)
     total = inequality(population_matrix(pop), spec)
     # a zero-income group is internally uniform at zero: its value is 0, so
@@ -271,22 +255,19 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     if not live.all():
         order = order[np.repeat(live, cells.counts)]
     sizes = cells.counts[live]
-    stops = np.cumsum(sizes)
-    runs = list(zip((stops - sizes).tolist(), stops.tolist()))
+    stops = np.cumsum(sizes).tolist()
+    runs = list(zip([0, *stops], stops))
     # the parent Dataset's indicators are finite and non-negative, and a
     # live group has a positive sum, so each group's columns are those of a
-    # valid population; the column checks that remain are WeightedColumns'
+    # valid population; what remains is the column rule
     x = pop.indicators[order]
     del order
     group_sums = np.array([x[a:b].sum() for a, b in runs])
     shares = np.divide(x, np.repeat(group_sums, sizes), out=x)
     weights = np.repeat(1.0 / sizes, sizes)
-    if np.any(weights < 0) or np.any(shares < 0):
-        raise NegativeComponent("weights and shares must be non-negative")
-    for (a, b), size in zip(runs, sizes.tolist()):
-        tol = _SUM_TOL * max(1, size)
-        if abs(weights[a:b].sum() - 1.0) > tol or abs(shares[a:b].sum() - 1.0) > tol:
-            raise ValueError("weights and shares must each sum to one")
+    _, error = _first_invalid(weights, shares, stops)
+    if error is not None:
+        raise error
     terms = _r(weights, shares, spec)
     values = iter([_summed(terms[a:b]) for a, b in runs])
     within = []

@@ -181,39 +181,6 @@ def inequality(cols: WeightedColumns, spec: MeasureSpec) -> float:
     return _summed(_r(cols.weights, cols.shares, spec))
 
 
-def classic_index(pop: Dataset, gen: Generator) -> float:
-    """Direct textbook evaluation of the classic index named by ``gen``.
-
-    Serves as an independent oracle for ``inequality`` at p = 0; do not use
-    it as the implementation path.
-    """
-    s = pop.indicators
-    n = len(pop)
-    mean = pop.mean
-    if mean <= 0:
-        raise DegeneratePopulation("population mean is zero")
-    rel = s / mean
-    if gen.name == "pietra":
-        return float(np.abs(s - mean).sum() / (2 * n * mean))
-    if gen.name == "theil":
-        pos = rel > 0
-        return float((rel[pos] * np.log(rel[pos])).sum() / n)
-    if gen.name == "mld":
-        if np.any(rel == 0):
-            return math.inf
-        return float(-np.log(rel).sum() / n)
-    if gen.c is not None:
-        c = gen.c
-        if np.any(rel == 0) and c < 0:
-            return math.inf
-        with np.errstate(divide="ignore"):
-            powered = rel**c
-        if np.any(np.isinf(powered)):
-            return math.inf
-        return float((powered - 1).sum() / (n * c * (c - 1)))
-    raise InvalidMeasure(f"no classic formula for generator {gen.name!r}")
-
-
 def _check_eps(eps: float) -> None:
     """Reject an Atkinson parameter that is not finite and positive."""
     if not math.isfinite(eps):

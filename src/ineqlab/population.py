@@ -8,8 +8,8 @@ anchored at (0,0) and ending at (1,1).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -29,14 +29,6 @@ _SUM_TOL = 1e-12
 # Without a cap, shapley over ten attributes would keep 1,023 cell indexes of
 # n entries each.
 _KEPT_GROUPINGS = 2**3 - 1
-
-
-@dataclass(frozen=True)
-class Record:
-    """A single individual: non-negative indicator plus categorical attributes."""
-
-    indicator: float
-    attributes: Mapping[str, str] = field(default_factory=dict)
 
 
 class Encoded(NamedTuple):
@@ -136,19 +128,6 @@ class Dataset:
         self._groupings: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
-    def from_records(cls, records: Iterable[Record]) -> "Dataset":
-        records = list(records)
-        if not records:
-            raise EmptyPopulation("dataset must contain at least one record")
-        names = tuple(records[0].attributes)
-        for r in records:
-            if tuple(r.attributes) != names and set(r.attributes) != set(names):
-                raise UnknownAttribute("records carry differing attribute sets")
-        indicators = [r.indicator for r in records]
-        attributes = {n: [str(r.attributes[n]) for r in records] for n in names}
-        return cls(indicators, attributes, names)
-
-    @classmethod
     def from_values(cls, values: Sequence[float]) -> "Dataset":
         """Dataset without attributes, for plain inequality measurement."""
         return cls(values)
@@ -235,28 +214,46 @@ class Dataset:
         return grouping
 
 
+def _first_invalid(
+    weights: np.ndarray, shares: np.ndarray, stops: Sequence[int]
+) -> tuple[int, Exception | None]:
+    """The first run of (weight, share) columns, the runs ending at `stops`,
+    that breaks the column rule, as (index, error), or (len(stops), None).
+
+    The rule: weights and shares are non-negative, a NaN failing, and each
+    sums to one within `_SUM_TOL * max(1, size)`; within a run, negatives
+    are checked before sums.
+    """
+    runs = list(zip([0, *stops], stops))
+    valid = weights >= 0
+    valid &= shares >= 0  # a NaN fails
+    negative = len(runs) if valid.all() else bisect_right(stops, valid.argmin())
+    for i, (a, b) in enumerate(runs[:negative]):
+        tol = _SUM_TOL * max(1, b - a)
+        if not (abs(weights[a:b].sum() - 1.0) <= tol and abs(shares[a:b].sum() - 1.0) <= tol):
+            return i, ValueError("weights and shares must each sum to one")
+    if negative < len(runs):
+        return negative, NegativeComponent("weights and shares must be non-negative")
+    return len(runs), None
+
+
 class WeightedColumns:
-    """Normalized (weight, share) columns; both rows sum to one."""
+    """Normalized (weight, share) columns that keep the rule of
+    `_first_invalid`; both rows sum to one."""
 
     def __init__(self, weights, shares):
         w = np.asarray(weights, dtype=float)
         s = np.asarray(shares, dtype=float)
         if w.shape != s.shape or w.ndim != 1:
             raise ValueError("weights and shares must be 1-d arrays of equal length")
-        # written so that a NaN fails each check
-        if not (np.all(w >= 0) and np.all(s >= 0)):
-            raise NegativeComponent("weights and shares must be non-negative")
-        tol = _SUM_TOL * max(1, w.size)
-        if not (abs(w.sum() - 1.0) <= tol and abs(s.sum() - 1.0) <= tol):
-            raise ValueError("weights and shares must each sum to one")
+        _, error = _first_invalid(w, s, [w.size])
+        if error is not None:
+            raise error
         self.weights = w
         self.shares = s
 
     def __len__(self) -> int:
         return int(self.weights.size)
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.weights.tolist(), self.shares.tolist()))
 
 
 def population_matrix(pop: Dataset) -> WeightedColumns:
@@ -297,12 +294,13 @@ def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 class _Cells(NamedTuple):
     """The non-empty joint cells of a grouping: each record's cell index
     (smallest unsigned dtype), each cell's record count and indicator sum,
-    and each cell's level code per attribute with the attributes' levels,
-    from which `keys` names the cells."""
+    the between-group columns, and each cell's level code per attribute
+    with the attributes' levels, from which `keys` names the cells."""
 
     codes: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
+    columns: WeightedColumns
     digits: np.ndarray
     levels: list[Sequence[str]]
 
@@ -329,13 +327,13 @@ def _cells(pop: Dataset, attrs: Iterable[str]) -> _Cells:
     attrs = _ordered_attrs(pop, attrs)
     codes, digits, counts = pop._grouping(attrs)
     sums = np.bincount(codes, weights=pop.indicators, minlength=len(counts))
-    return _Cells(codes, counts, sums, digits, [pop._encode(a).levels for a in attrs])
+    columns = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
+    return _Cells(codes, counts, sums, columns, digits, [pop._encode(a).levels for a in attrs])
 
 
 def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:
     """Between-group columns only (no sub-datasets); used on hot paths."""
-    cells = _cells(pop, attrs)
-    return WeightedColumns(cells.counts / len(pop), cells.sums / pop.indicators.sum())
+    return _cells(pop, attrs).columns
 
 
 def _ordered_attrs(pop: Dataset, attrs: Iterable[str]) -> tuple[str, ...]:
@@ -372,7 +370,6 @@ def group_by(
     No column is decoded.
     """
     cells = _cells(pop, attrs)
-    cols = WeightedColumns(cells.counts / len(pop), cells.sums / pop.indicators.sum())
     keys = cells.keys()
     zero = np.flatnonzero(cells.sums == 0)
     if zero.size:
@@ -396,4 +393,4 @@ def group_by(
             else:
                 sub[name] = col[start:stop]
         groups.append((key, Dataset(indicators[start:stop], sub, pop.attribute_names)))
-    return cols, groups
+    return cells.columns, groups

@@ -14,11 +14,8 @@ import numpy as np
 
 from .population import WeightedColumns
 
-# Two edge vectors u, v count as parallel when |u x v| <= MERGE_TOL *
-# max(1, |u||v|), which avoids dividing by zero-weight columns. Wherever
-# |u||v| <= 1, as for every column of size 1/n, this is an absolute 1e-12
-# on the cross product, not one relative to the magnitudes; the ROADMAP item
-# on an exact, scale-free chain construction replaces it.
+# The cutoff on cross products below which `_merge_parallel` merges two
+# edge vectors and `_prune_collinear` drops a vertex.
 MERGE_TOL = 1e-12
 # A vertex is "on" a chain when its vertical distance is within this bound.
 CONTAIN_TOL = 1e-9
@@ -57,16 +54,6 @@ class Zonogon:
         ys = self.vertices[:, 1]
         start = 1 if xs[1] == xs[0] else 0  # skip an initial vertical edge
         return np.interp(x, xs[start:], ys[start:])
-
-    def is_bottom(self) -> bool:
-        return len(self.vertices) == 2
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Zonogon)
-            and self.vertices.shape == other.vertices.shape
-            and bool(np.allclose(self.vertices, other.vertices, atol=CONTAIN_TOL))
-        )
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x:g},{y:g})" for x, y in self.vertices)

@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ineqlab import Dataset
+from ineqlab import Dataset, DegeneratePopulation, Generator, InvalidMeasure, WeightedColumns
 
 
 # verdict lines from the acceptance suite, echoed after the test run;
@@ -52,6 +52,41 @@ def random_dataset(rng, n_attrs=2, max_n=200, max_cats=4, low=0.01, high=100.0) 
         for name in names
     }
     return Dataset(rng.uniform(low, high, n), attrs, names)
+
+
+def pairs(cols: WeightedColumns) -> list[tuple[float, float]]:
+    """The (weight, share) columns as a list of float pairs."""
+    return list(zip(cols.weights.tolist(), cols.shares.tolist()))
+
+
+def classic_index(pop: Dataset, gen: Generator) -> float:
+    """Direct textbook evaluation of the classic index named by ``gen``:
+    an independent oracle for ``inequality`` at p = 0."""
+    s = pop.indicators
+    n = len(pop)
+    mean = pop.mean
+    if mean <= 0:
+        raise DegeneratePopulation("population mean is zero")
+    rel = s / mean
+    if gen.name == "pietra":
+        return float(np.abs(s - mean).sum() / (2 * n * mean))
+    if gen.name == "theil":
+        pos = rel > 0
+        return float((rel[pos] * np.log(rel[pos])).sum() / n)
+    if gen.name == "mld":
+        if np.any(rel == 0):
+            return math.inf
+        return float(-np.log(rel).sum() / n)
+    if gen.c is not None:
+        c = gen.c
+        if np.any(rel == 0) and c < 0:
+            return math.inf
+        with np.errstate(divide="ignore"):
+            powered = rel**c
+        if np.any(np.isinf(powered)):
+            return math.inf
+        return float((powered - 1).sum() / (n * c * (c - 1)))
+    raise InvalidMeasure(f"no classic formula for generator {gen.name!r}")
 
 
 def upper_hull(points: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from ineqlab import (
     atkinson_decompose,
     atkinson_transform,
     canonical_chain,
-    classic_index,
     decompose,
     ge,
     inequality,
@@ -40,7 +39,7 @@ from ineqlab import (
     theil,
 )
 import conftest
-from conftest import random_dataset
+from conftest import classic_index, random_dataset
 
 SEED = 20250823
 # written on every run; ignored by git, so a change in it shows as a failure

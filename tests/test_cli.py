@@ -152,6 +152,15 @@ def test_subgroup_output(runner, tmp_path):
     assert payload["total"] == pytest.approx(0.187445)
 
 
+def test_subgroup_group_by_is_stripped(runner, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("income,A,B\n1,a,x\n3,a,y\n2,b,x\n6,b,y\n")
+    args = ["subgroup", "-i", str(p), "--value-col", "income", "--group-by"]
+    padded, plain = invoke(runner, [*args, " A "]), invoke(runner, [*args, "A"])
+    assert padded.exit_code == plain.exit_code == 0
+    assert json.loads(padded.output) == json.loads(plain.output)
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["columnar", "row-reader"])
 def test_subgroup_keeps_labels_differing_by_trailing_nul(runner, tmp_path, quoted):
     p = tmp_path / "d.csv"

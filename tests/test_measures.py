@@ -17,7 +17,6 @@ from ineqlab import (
     atkinson,
     atkinson_transform,
     bottom,
-    classic_index,
     custom,
     ge,
     inequality,
@@ -29,7 +28,7 @@ from ineqlab import (
     theil,
 )
 from ineqlab.measures import _r
-from conftest import random_dataset
+from conftest import classic_index, random_dataset
 
 # frozen via the direct textbook formulas (independent script)
 THEIL_13 = 0.13081203594113697

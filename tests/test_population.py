@@ -17,7 +17,6 @@ from ineqlab import (
     Encoded,
     MeasureSpec,
     NegativeComponent,
-    Record,
     UnknownAttribute,
     WeightedColumns,
     bottom,
@@ -38,12 +37,12 @@ from ineqlab import (
 from ineqlab import decomposition, population, shapley
 from ineqlab.measures import ge
 from ineqlab.population import _cells, _ordered_attrs
-from conftest import random_dataset
+from conftest import pairs, random_dataset
 
 
 def test_population_matrix_hand_example():
     cols = population_matrix(Dataset.from_values([1, 3]))
-    assert cols.pairs() == [(0.5, 0.25), (0.5, 0.75)]
+    assert pairs(cols) == [(0.5, 0.25), (0.5, 0.75)]
 
 
 def test_population_matrix_uniform():
@@ -73,27 +72,19 @@ def test_population_errors():
 
 def test_zero_indicators_are_retained():
     cols = population_matrix(Dataset.from_values([0, 2]))
-    assert cols.pairs() == [(0.5, 0.0), (0.5, 1.0)]
-
-
-def test_from_records():
-    d = Dataset.from_records(
-        [Record(1, {"region": "r1"}), Record(3, {"region": "r2"})]
-    )
-    assert d.attribute_names == ("region",)
-    assert len(d) == 2
+    assert pairs(cols) == [(0.5, 0.0), (0.5, 1.0)]
 
 
 def test_group_by_xor_marginal(d_xor):
     cols, groups = group_by(d_xor, {"A"})
-    assert cols.pairs() == [(0.5, 0.5), (0.5, 0.5)]
+    assert pairs(cols) == [(0.5, 0.5), (0.5, 0.5)]
     assert [k for k, _ in groups] == [("a1",), ("a2",)]
     assert sorted(groups[0][1].indicators.tolist()) == [1, 3]
 
 
 def test_group_by_xor_joint(d_xor):
     cols, groups = group_by(d_xor, {"A", "B"})
-    assert cols.pairs() == [
+    assert pairs(cols) == [
         (0.25, 0.125),
         (0.25, 0.375),
         (0.25, 0.375),
@@ -104,7 +95,7 @@ def test_group_by_xor_joint(d_xor):
 
 def test_group_by_empty_is_bottom(d_xor):
     cols, groups = group_by(d_xor, set())
-    assert cols.pairs() == bottom().pairs() == [(1.0, 1.0)]
+    assert pairs(cols) == pairs(bottom()) == [(1.0, 1.0)]
     assert len(groups) == 1
 
 
@@ -123,7 +114,7 @@ def test_group_by_integer_levels_in_string_order():
     d = Dataset([1, 2, 3, 4], {"age": [9, 10, 9, 2]}, ["age"])
     cols, groups = group_by(d, {"age"})
     assert [k for k, _ in groups] == [("10",), ("2",), ("9",)]
-    assert cols.pairs() == [(0.25, 0.2), (0.25, 0.4), (0.5, 0.4)]
+    assert pairs(cols) == [(0.25, 0.2), (0.25, 0.4), (0.5, 0.4)]
 
 
 def test_attribute_columns_are_read_only_copies():
@@ -131,7 +122,7 @@ def test_attribute_columns_are_read_only_copies():
     d = Dataset([1, 1, 3, 3], {"A": labels}, ["A"])
     cols, _ = group_by(d, {"A"})  # encodes A
     labels[:] = "a"
-    assert group_by(d, {"A"})[0].pairs() == cols.pairs() == [(0.5, 0.25), (0.5, 0.75)]
+    assert pairs(group_by(d, {"A"})[0]) == pairs(cols) == [(0.5, 0.25), (0.5, 0.75)]
     with pytest.raises(ValueError):
         d.attributes["A"][0] = "b"
 
@@ -202,7 +193,7 @@ def test_encoded_columns_decode_read_only_and_scale_without_encoding(monkeypatch
     with pytest.raises(ValueError):
         d.attributes["A"][0] = "x"
     plain = Dataset([1, 2, 3, 4], {"A": ["y", "x", "y", "z"], "B": ["p", "q", "p", "q"]})
-    assert grouped_columns(d, ["A", "B"]).pairs() == grouped_columns(plain, ["A", "B"]).pairs()
+    assert pairs(grouped_columns(d, ["A", "B"])) == pairs(grouped_columns(plain, ["A", "B"]))
 
     scaled = d.scaled(2.0)
     # the scaled Dataset shares the encodings, B's made by the grouping above
@@ -212,8 +203,8 @@ def test_encoded_columns_decode_read_only_and_scale_without_encoding(monkeypatch
         raise AssertionError("encoded again")
 
     monkeypatch.setattr(population, "_level_encoder", no_encoding)
-    assert grouped_columns(scaled, ["A"]).pairs() == grouped_columns(plain, ["A"]).pairs()
-    assert grouped_columns(scaled, ["B"]).pairs() == grouped_columns(plain, ["B"]).pairs()
+    assert pairs(grouped_columns(scaled, ["A"])) == pairs(grouped_columns(plain, ["A"]))
+    assert pairs(grouped_columns(scaled, ["B"])) == pairs(grouped_columns(plain, ["B"]))
 
 
 @pytest.mark.parametrize("grouped", [0, 1, 3, 8])
@@ -279,7 +270,7 @@ def test_permutation_is_column_permutation(rng):
     )
     a = population_matrix(d)
     b = population_matrix(dp)
-    assert sorted(a.pairs()) == pytest.approx(sorted(b.pairs()))
+    assert sorted(pairs(a)) == pytest.approx(sorted(pairs(b)))
 
 
 def test_duplication_same_zonogon(rng):
