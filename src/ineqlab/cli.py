@@ -286,7 +286,7 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(payload, indent=2))
     else:
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["key", "value"])
         for key, value in _flatten(payload):
             writer.writerow([key, value])

@@ -24,6 +24,8 @@ from .errors import (
 from .population import Dataset, WeightedColumns
 
 _C_SINGULAR_TOL = 1e-9
+# how much a sampled limit of a custom generator may still grow
+_LIMIT_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,16 +45,6 @@ class Generator:
     at_zero: float
     tail_slope: float
     c: float | None = None
-
-    def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        zero = t == 0
-        out[zero] = self.at_zero
-        if np.any(~zero):
-            out[~zero] = self.func(t[~zero])
-        return float(out[0]) if scalar else out
 
     def __repr__(self) -> str:
         return f"Generator({self.name})"
@@ -98,9 +90,21 @@ def ge(c: float) -> Generator:
 
 
 def custom(
-    func: Callable[[np.ndarray], np.ndarray], strictly_convex: bool, name: str = "custom"
+    func: Callable[[np.ndarray], np.ndarray],
+    strictly_convex: bool,
+    name: str = "custom",
+    *,
+    at_zero: float | None = None,
+    tail_slope: float | None = None,
 ) -> Generator:
-    """Wrap a user generator after a convexity and f(1)=0 spot-check."""
+    """Wrap a user generator after a convexity and f(1)=0 spot-check.
+
+    `at_zero` (lim f(t), t -> 0+) and `tail_slope` (lim f(t)/t, t -> inf)
+    may be given, infinite ones too. A limit not given is sampled, at
+    t = 1e-12 and at t = 1e12; one that still grows by more than
+    `_LIMIT_RTOL` of its size on to 1e-24 or 1e24 is rejected, as it may
+    be infinite (as -log t is at zero).
+    """
     t = np.logspace(-6, 6, 2001)
     v = np.asarray(func(t), dtype=float)
     if not np.all(np.isfinite(v)):
@@ -112,10 +116,23 @@ def custom(
     tol = 1e-9 * np.maximum(1.0, np.abs(v[:-1]) + np.abs(v[1:]))
     if np.any(mid > (v[:-1] + v[1:]) / 2 + tol):
         raise InvalidMeasure("custom generator failed the convexity check")
-    big = 1e12
-    at_zero = float(func(1e-12))
-    tail = float(func(big) / big)
-    return Generator(name, func, strictly_convex, at_zero, tail)
+    if at_zero is None:
+        at_zero = _sampled_limit(func, 1e-12, 1e-24, "at_zero")
+    if tail_slope is None:
+        tail_slope = _sampled_limit(lambda t: func(t) / t, 1e12, 1e24, "tail_slope")
+    return Generator(name, func, strictly_convex, float(at_zero), float(tail_slope))
+
+
+def _sampled_limit(g: Callable, near: float, far: float, name: str) -> float:
+    """g at `near`, standing in for its limit past `far`, unless g at `far`
+    is larger by more than `_LIMIT_RTOL` of its size: a convex generator's
+    limits can only grow without bound. A NaN fails."""
+    at_near, at_far = float(g(near)), float(g(far))
+    if not at_far <= at_near + _LIMIT_RTOL * max(1.0, abs(at_near)):
+        raise InvalidMeasure(
+            f"custom generator's {name} still grows ({at_near:g} -> {at_far:g}); pass {name}="
+        )
+    return at_near
 
 
 @dataclass(frozen=True)

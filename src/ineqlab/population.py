@@ -80,16 +80,16 @@ class Dataset:
 
     Invariants: non-empty, all indicators finite and non-negative, at least
     one indicator strictly positive, every record carries the same attributes.
-    An attribute column is given as values, kept as a read-only copy and
-    encoded on first grouping, or as an `Encoded` column, kept as its
-    levels and a read-only copy of its codes and decoded on first access
-    to `attributes`. A Dataset keeps its encodings and up to
-    `_KEPT_GROUPINGS` groupings, codes only: each record's cell, each
-    cell's level codes and record count. Indicator sums are taken per call.
+    The indicators are kept as a read-only copy, and so is an attribute
+    column given as values, encoded on first grouping; an `Encoded` column
+    is kept as its levels and a read-only copy of its codes and decoded on
+    first access to `attributes`. A Dataset keeps its encodings and up to
+    `_KEPT_GROUPINGS` cell tables (`_Cells`), each of codes, indicator sums
+    and checked between-group columns, kept and dropped together.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
-        ind = np.asarray(indicators, dtype=float)
+        ind = np.array(indicators, dtype=float)
         if ind.ndim != 1 or ind.size == 0:
             raise EmptyPopulation("dataset must contain at least one record")
         if not np.all(np.isfinite(ind)):
@@ -120,12 +120,13 @@ class Dataset:
             _check_distinct(attribute_names)
             if set(attribute_names) != set(attributes):
                 raise UnknownAttribute("attribute_names do not match attribute columns")
+        ind.flags.writeable = False
         self.indicators = ind
         self.attribute_names = attribute_names
         self._columns = columns
         self._encoded = encoded
         self._attributes: dict[str, np.ndarray] | None = None
-        self._groupings: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._groupings: dict[tuple[str, ...], _Cells] = {}
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "Dataset":
@@ -156,11 +157,12 @@ class Dataset:
 
     def scaled(self, k: float) -> "Dataset":
         """The Dataset with every indicator times `k`. It shares the columns,
-        encodings and kept groupings, which hold no indicator, so nothing
-        is checked or encoded again."""
+        encodings and kept groupings' codes, so nothing is checked or
+        encoded again, but not the groupings' sums and columns."""
         scaled = Dataset(self.indicators * k)
         scaled.attribute_names, scaled._columns = self.attribute_names, self._columns
-        scaled._encoded, scaled._groupings = dict(self._encoded), dict(self._groupings)
+        scaled._encoded, kept = dict(self._encoded), self._groupings.items()
+        scaled._groupings = {a: cells._replace(sums=None, columns=None) for a, cells in kept}
         return scaled
 
     def _encode(self, attr: str) -> Encoded:
@@ -177,41 +179,46 @@ class Dataset:
             self._encoded[attr] = _sorted_encoding(code_of, codes)
         return self._encoded[attr]
 
-    def _grouping(self, attrs: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Codes-only grouping by `attrs` (in Dataset order), read-only.
+    def _grouping(self, attrs: tuple[str, ...]) -> _Cells:
+        """The cell table of the grouping by `attrs` (in Dataset order), read-only.
 
-        Returns each record's cell index (smallest unsigned dtype), each
-        cell's level code per attribute (one row per attribute) and each
-        cell's record count. A grouping not kept is projected from the kept
-        grouping with the most attributes that holds all of `attrs`: its
-        cells' codes are projected, their counts summed (exact) and each
-        record's cell taken with one `take` on small codes. With none, it is
-        built with one sort of the records' code rows, so only grouped
-        attributes are ever encoded. Each use moves a grouping last, and
-        the first is dropped past `_KEPT_GROUPINGS`, so a grouping that
-        later ones are projected from stays kept.
+        A grouping not kept is projected from the kept grouping with the
+        most attributes that holds all of `attrs`: its cells' codes are
+        projected, their counts summed (exact) and each record's cell taken
+        with one `take` on small codes. With none, it is built with one sort
+        of the records' code rows, so only grouped attributes are ever
+        encoded. Sums, where there are none (new, or from `scaled`), are one
+        weighted `bincount` over the records in record order, so each has
+        the same bits whatever is kept. Each use moves a grouping last, and
+        past `_KEPT_GROUPINGS` the first is dropped, sums and columns too, so
+        the grouping later ones are projected from stays kept.
         """
         kept = self._groupings
-        grouping = kept.pop(attrs, None)
-        if grouping is None:
+        cells = kept.pop(attrs, None)
+        if cells is None:
             source = max((a for a in kept if set(attrs) <= set(a)), key=len, default=None)
             if source is None:
                 codes = np.array([self._encode(a)[1] for a in attrs]).reshape(len(attrs), len(self))
                 index, digits, counts = _distinct_columns(codes)
                 index = index.astype(np.min_scalar_type(len(counts)))
             else:
-                source_index, source_digits, source_counts = kept[source] = kept.pop(source)
-                rows = source_digits[[source.index(a) for a in attrs]]
+                parent = kept[source] = kept.pop(source)
+                rows = parent.digits[[source.index(a) for a in attrs]]
                 cell_codes, digits, _ = _distinct_columns(rows)
-                counts = np.bincount(cell_codes, weights=source_counts).astype(np.intp)
-                index = cell_codes.astype(np.min_scalar_type(len(counts))).take(source_index)
-            grouping = index, digits, counts
-            for array in grouping:
+                counts = np.bincount(cell_codes, weights=parent.counts).astype(np.intp)
+                index = cell_codes.astype(np.min_scalar_type(len(counts))).take(parent.codes)
+            levels = [self._encode(a).levels for a in attrs]
+            cells = _Cells(index, counts, None, None, digits, levels)
+        if cells.sums is None:
+            sums = np.bincount(cells.codes, weights=self.indicators, minlength=len(cells.counts))
+            cols = WeightedColumns(cells.counts / len(self), sums / self.indicators.sum())
+            cells = cells._replace(sums=sums, columns=cols)
+            for array in (cells.codes, cells.counts, cells.digits, sums, cols.weights, cols.shares):
                 array.flags.writeable = False
-            if len(kept) == _KEPT_GROUPINGS:
-                del kept[next(iter(kept))]
-        kept[attrs] = grouping
-        return grouping
+        if len(kept) == _KEPT_GROUPINGS:
+            del kept[next(iter(kept))]
+        kept[attrs] = cells
+        return cells
 
 
 def _first_invalid(
@@ -299,8 +306,8 @@ class _Cells(NamedTuple):
 
     codes: np.ndarray
     counts: np.ndarray
-    sums: np.ndarray
-    columns: WeightedColumns
+    sums: np.ndarray | None
+    columns: WeightedColumns | None
     digits: np.ndarray
     levels: list[Sequence[str]]
 
@@ -318,17 +325,10 @@ class _Cells(NamedTuple):
 def _cells(pop: Dataset, attrs: Iterable[str]) -> _Cells:
     """Non-empty joint cells of the attributes, taken in the Dataset's order.
 
-    No attributes give the single cell (). The record-to-cell index, cell
-    codes and counts are the Dataset's kept grouping, used as they are. The
-    indicator sums are one weighted `bincount` over the records in record
-    order per call, so every sum adds the same floats in the same order
-    whatever the Dataset keeps.
+    No attributes give the single cell (). The table is the Dataset's kept
+    grouping, made on first use: a repeat makes no pass over the records.
     """
-    attrs = _ordered_attrs(pop, attrs)
-    codes, digits, counts = pop._grouping(attrs)
-    sums = np.bincount(codes, weights=pop.indicators, minlength=len(counts))
-    columns = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
-    return _Cells(codes, counts, sums, columns, digits, [pop._encode(a).levels for a in attrs])
+    return pop._grouping(_ordered_attrs(pop, attrs))
 
 
 def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:

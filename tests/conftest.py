@@ -10,7 +10,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ineqlab import Dataset, DegeneratePopulation, Generator, InvalidMeasure, WeightedColumns
+from ineqlab import (
+    Dataset,
+    DegeneratePopulation,
+    Generator,
+    InvalidMeasure,
+    MeasureSpec,
+    WeightedColumns,
+)
+from ineqlab.measures import _r
 
 
 # verdict lines from the acceptance suite, echoed after the test run;
@@ -189,6 +197,13 @@ def exact_upper_hull(points):
     return hull
 
 
+def generator_at(f: Generator, t) -> np.ndarray:
+    """f at each t >= 0, its limit at zero where t is 0: r of the columns
+    (t, 1) at p = 0, where a is 1."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return _r(t, np.ones_like(t), MeasureSpec(f))
+
+
 def exact_measure(chain, spec) -> float:
     """Sum of a*f(x/a) over the chain's edges, a = p*x + (1-p)*y > 0."""
     p = Fraction(spec.p)
@@ -198,7 +213,7 @@ def exact_measure(chain, spec) -> float:
         a = p * dx + (1 - p) * dy
         weights.append(float(a))
         ratios.append(float(dx / a))
-    return math.fsum(np.array(weights) * spec.f(np.array(ratios)))
+    return math.fsum(np.array(weights) * generator_at(spec.f, ratios))
 
 
 def exact_partials(pop: Dataset, attrs, spec) -> dict[tuple, float]:

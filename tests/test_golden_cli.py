@@ -13,6 +13,8 @@ intended) with:
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ineqlab import cli
 from ineqlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,9 +67,13 @@ def write_csv(path: Path, rows: int = 2000, seed: int = 20261018) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def arguments(name: str) -> list[str]:
+    """The command line of a golden file, after the program's name."""
+    return COMMANDS[name] + ["-i", str(CSV), "--value-col", "income", "--precision", "17"]
+
+
 def run(name: str) -> str:
-    args = COMMANDS[name] + ["-i", str(CSV), "--value-col", "income", "--precision", "17"]
-    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    res = CliRunner().invoke(main, arguments(name), catch_exceptions=False)
     assert res.exit_code == 0, res.output
     return res.output
 
@@ -75,6 +82,17 @@ def run(name: str) -> str:
 def test_golden_output(name):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert run(name) == expected
+
+
+def test_csv_golden_output_in_its_own_process():
+    """The CliRunner output above reads a CR LF as LF; the program's own
+    stdout must hold the golden bytes. CI runs every golden command so."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "ineqlab.cli", *arguments("subgroup_csv")]
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+    assert out == (GOLDEN / "subgroup_csv.out").read_bytes()
 
 
 def test_golden_csv_is_zero_free_with_string_ordered_levels():

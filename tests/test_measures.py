@@ -28,7 +28,7 @@ from ineqlab import (
     theil,
 )
 from ineqlab.measures import _r
-from conftest import classic_index, random_dataset
+from conftest import classic_index, generator_at, random_dataset
 
 # frozen via the direct textbook formulas (independent script)
 THEIL_13 = 0.13081203594113697
@@ -45,7 +45,7 @@ def kappa_13():
 
 def test_generator_basics():
     for gen in (pietra(), theil(), mld(), ge(2), ge(-1), ge(0.5)):
-        assert gen(1.0) == pytest.approx(0.0, abs=1e-12)
+        assert generator_at(gen, 1.0).tolist() == [pytest.approx(0.0, abs=1e-12)]
     assert not pietra().strictly_convex
     assert theil().strictly_convex and mld().strictly_convex and ge(2).strictly_convex
 
@@ -178,6 +178,34 @@ def test_custom_generator_rejects_concave():
         custom(lambda t: t, strictly_convex=False)  # f(1) != 0
 
 
+@pytest.mark.parametrize(
+    "func, limit, builtin",
+    [(lambda t: -np.log(t), "at_zero", theil()), (lambda t: t * np.log(t), "tail_slope", mld())],
+    ids=["-log t", "t log t"],
+)
+def test_custom_generator_takes_an_infinite_limit_only_given(func, limit, builtin):
+    """-log t is infinite at zero and t log t / t at infinity: sampled,
+    each limit still grows, so it is rejected; given, it closes the measure
+    as the built-in generator's does."""
+    with pytest.raises(InvalidMeasure, match=limit):
+        custom(func, True)
+    gen = custom(func, True, **{limit: math.inf})
+    assert getattr(gen, limit) == getattr(builtin, limit) == math.inf
+    # the column whose measure is the limit: zero share, or zero weight
+    assert r_fp((0.0, 0.5) if limit == "at_zero" else (0.5, 0.0), MeasureSpec(gen)) == math.inf
+    full = custom(func, True, at_zero=builtin.at_zero, tail_slope=builtin.tail_slope)
+    for v in [(0.0, 0.5), (0.5, 0.0), (0.25, 0.75), (0.0, 0.0)]:
+        assert r_fp(v, MeasureSpec(full)) == r_fp(v, MeasureSpec(builtin))
+    assert inequality(kappa_13(), MeasureSpec(full)) == inequality(kappa_13(), MeasureSpec(builtin))
+
+
+def test_custom_generator_samples_a_settled_limit():
+    gen = custom(lambda t: np.abs(t - 1) / 2, strictly_convex=False)
+    assert gen.at_zero == gen.tail_slope == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(InvalidMeasure, match="at_zero"):
+        custom(ge(2).func, True)  # (1/t - t)/2: infinite at zero
+
+
 def test_linearity(rng):
     for _ in range(200):
         v = rng.uniform(0.0, 2.0, 2)
@@ -245,7 +273,7 @@ _KERNEL_GENERATORS = {
     "ge:-1": ge(-1),
     "ge:0.5": ge(0.5),
     "ge:3": ge(3),
-    "custom": custom(_positive_only, strictly_convex=True),
+    "custom": custom(_positive_only, strictly_convex=True, tail_slope=math.inf),
 }
 _components = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),

@@ -1,5 +1,6 @@
 """Population matrices, grouping and their invariances."""
 
+import dataclasses
 import math
 from itertools import combinations
 from unittest import mock
@@ -19,6 +20,7 @@ from ineqlab import (
     NegativeComponent,
     UnknownAttribute,
     WeightedColumns,
+    atkinson_decompose,
     bottom,
     canonical_chain,
     decompose,
@@ -27,8 +29,10 @@ from ineqlab import (
     group_by,
     grouped_columns,
     inequality,
+    mld,
     order,
     OrderRelation,
+    pietra,
     population_matrix,
     shapley_values,
     subgroup_decompose,
@@ -210,8 +214,9 @@ def test_encoded_columns_decode_read_only_and_scale_without_encoding(monkeypatch
 @pytest.mark.parametrize("grouped", [0, 1, 3, 8])
 @pytest.mark.parametrize("k", [2.0, 0.3, 1e-3])
 def test_scaled_checks_nothing_again_and_keeps_the_cells(grouped, k):
-    """`scaled` runs no `_checked_encoding` and hands on the groupings kept
-    so far; every grouping of it has the bits of a freshly built Dataset's."""
+    """`scaled` runs no `_checked_encoding` and hands on the codes of the
+    groupings kept so far, but not their sums and columns; every grouping
+    of it has the bits of a freshly built Dataset's."""
     rng = np.random.default_rng(grouped)
     n = 60
     values = rng.uniform(0.0, 5.0, n)
@@ -232,7 +237,10 @@ def test_scaled_checks_nothing_again_and_keeps_the_cells(grouped, k):
     with mock.patch.object(population, "_checked_encoding", no_check):
         scaled = d.scaled(k)
     assert list(scaled._groupings) == list(d._groupings)
-    assert all(scaled._groupings[a] is d._groupings[a] for a in d._groupings)
+    for attrs, cells in d._groupings.items():
+        passed = scaled._groupings[attrs]
+        assert passed.codes is cells.codes and passed.digits is cells.digits
+        assert passed.counts is cells.counts and passed.sums is passed.columns is None
     for subset in subsets:
         got, want = _cells(scaled, subset), _cells(fresh, subset)
         assert got.codes.dtype == want.codes.dtype and bits(got.codes) == bits(want.codes)
@@ -529,7 +537,8 @@ def outcome(run):
 
 
 @st.composite
-def grouping_cases(draw):
+def dataset_inputs(draw):
+    """Indicators, attribute columns and attribute names of a Dataset."""
     n = draw(st.integers(1, 40))
     names = ["A", "B", "C"][: draw(st.integers(1, 3))]
     attrs = {}
@@ -548,7 +557,13 @@ def grouping_cases(draw):
     values = draw(st.lists(st.one_of(st.just(0.0), st.sampled_from([1.0, 2.5, 1e-3]),
                                      st.floats(0.001, 1000.0)), min_size=n, max_size=n))
     assume(any(v > 0 for v in values))
-    d = Dataset(values, attrs, draw(st.permutations(names)))
+    return values, attrs, draw(st.permutations(names))
+
+
+@st.composite
+def grouping_cases(draw):
+    values, attrs, names = draw(dataset_inputs())
+    d = Dataset(values, attrs, names)
     subsets = [c for r in range(len(names) + 1) for c in combinations(names, r)]
     # the order of the groupings decides which kept grouping each is
     # projected from; a cap on kept groupings below the number of subsets
@@ -591,15 +606,17 @@ def test_grouping_is_the_mask_per_group_code_bit_for_bit(case):
     Every subset is grouped twice in a row, the second time from its kept
     grouping, and then all once more, under a drawn cap on kept groupings
     below the number of subsets, so groupings are also dropped and built
-    again. Kept code arrays are read-only."""
+    again. Every kept array, codes, sums and columns, is read-only."""
     d, subsets, cap = case
     parent = ParentGrouping(d)
     with mock.patch.object(population, "_KEPT_GROUPINGS", cap):
         check_mask_grouping_bits(d, parent, [s for s in subsets for _ in range(2)] + subsets)
     assert len(d._groupings) == cap
-    for array in [array for grouping in d._groupings.values() for array in grouping]:
-        with pytest.raises(ValueError):
-            array[...] = 0
+    for cells in d._groupings.values():
+        for array in (cells.codes, cells.counts, cells.sums, cells.digits,
+                      cells.columns.weights, cells.columns.shares):
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 def check_mask_grouping_bits(d, parent, sequence):
@@ -644,20 +661,27 @@ def check_mask_grouping_bits(d, parent, sequence):
                 assert bits(got.total) == bits(want.total)
 
 
-def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
-    """Each grouping bincounts the records once per call, for its indicator
-    sums; its counts come from the kept grouping it is projected from, and
-    its cell index is its kept one, used as it is with no gather."""
-    d = three_attribute_dataset()
+def counting_record_passes(monkeypatch, n):
+    """Every `np.bincount` over `n` entries from now on, in a list."""
     passes = []
     bincount = np.bincount
 
     def counting_bincount(x, *args, **kwargs):
-        if np.shape(x) == (len(d),):
+        if np.shape(x) == (n,):
             passes.append(x)
         return bincount(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting_bincount)
+    return passes
+
+
+def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
+    """The first use of a grouping bincounts the records once, for its
+    indicator sums; its counts come from the kept grouping it is projected
+    from. Every later call finds the sums and columns kept and makes no
+    pass over the records."""
+    d = three_attribute_dataset()
+    passes = counting_record_passes(monkeypatch, len(d))
 
     def count(run):
         del passes[:]
@@ -668,13 +692,16 @@ def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
     assert count(lambda: grouped_columns(d, ["B"])) == 1  # built from the codes
     assert count(lambda: grouped_columns(d, joint)) == 1  # built from the codes
     for subset in [c for r in range(3) for c in combinations(joint, r)]:
-        assert count(lambda: grouped_columns(d, subset)) == 1
-        assert count(lambda: group_by(d, subset)) == 1
-    assert count(lambda: group_by(d, joint)) == 1
+        first = count(lambda: grouped_columns(d, subset))
+        assert first == (subset != ("B",))
+        assert count(lambda: grouped_columns(d, subset)) == 0
+        assert count(lambda: group_by(d, subset)) == 0
+    assert count(lambda: group_by(d, joint)) == 0
     for attr in joint:
-        assert count(lambda: subgroup_decompose(d, attr, 2.0)) == 1
-    for subset, (index, _, _) in list(d._groupings.items()):
-        assert _cells(d, subset).codes is index
+        assert count(lambda: subgroup_decompose(d, attr, 2.0)) == 0
+    for subset, cells in list(d._groupings.items()):
+        assert _cells(d, subset) is cells
+        assert grouped_columns(d, subset) is cells.columns
 
 
 @pytest.mark.parametrize(
@@ -688,10 +715,12 @@ def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
 )
 def test_a_second_call_groups_nothing_again(run, monkeypatch):
     """A second call on the same Dataset finds every grouping kept: it
-    sorts no records and projects no cells, and gives the same bits."""
+    sorts no records, projects no cells and sums no indicators, and gives
+    the same bits."""
     d = three_attribute_dataset()
     spec = MeasureSpec(theil())
     first = run(d, spec)
+    passes = counting_record_passes(monkeypatch, len(d))
     calls = []
     lexsort, distinct_columns = np.lexsort, population._distinct_columns
 
@@ -704,7 +733,7 @@ def test_a_second_call_groups_nothing_again(run, monkeypatch):
     monkeypatch.setattr(np, "lexsort", counted("lexsort", lexsort))
     monkeypatch.setattr(population, "_distinct_columns", counted("distinct", distinct_columns))
     assert repr(run(d, spec)) == repr(first)
-    assert calls == []
+    assert calls == [] and passes == []
 
 
 def test_shapley_over_five_attributes_keeps_seven_groupings(monkeypatch):
@@ -759,3 +788,92 @@ def test_subgroup_decompose_measures_all_groups_at_once(monkeypatch):
     assert sorted(built) == ["WeightedColumns", "WeightedColumns"]
     assert len(result.within) == 40 and result.within[7][1:] == (0.0, 0.0)
     assert result.reconstruction == pytest.approx(result.total, rel=1e-12)
+
+
+def canonical(result):
+    """A result as nested tuples, each float by its bytes."""
+    if isinstance(result, (float, np.floating, np.ndarray)):
+        return bits(result)
+    if isinstance(result, WeightedColumns):
+        return "columns", bits(result.weights), bits(result.shares)
+    if isinstance(result, Dataset):
+        names = result.attribute_names
+        return bits(result.indicators), names, [result.attributes[a].tolist() for a in names]
+    if dataclasses.is_dataclass(result):
+        return canonical([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if isinstance(result, dict):
+        return [(key, canonical(value)) for key, value in result.items()]
+    if isinstance(result, (tuple, list)):
+        return [canonical(item) for item in result]
+    return result
+
+
+SPECS = [MeasureSpec(theil()), MeasureSpec(ge(2.0), 0.25), MeasureSpec(mld()),
+         MeasureSpec(pietra())]
+
+
+@st.composite
+def call_sequences(draw):
+    """A Dataset's inputs, a cap on kept groupings and a sequence of calls,
+    each a (name, function of a Dataset) pair."""
+    values, attrs, names = draw(dataset_inputs())
+    attr_lists = st.lists(st.sampled_from(names), unique=True, max_size=len(names))
+    call = st.one_of(
+        st.builds(lambda a: (f"grouped_columns{a}", lambda d: grouped_columns(d, a)), attr_lists),
+        st.builds(lambda a: (f"group_by{a}", lambda d: group_by(d, a)), attr_lists),
+        st.builds(lambda a, c: (f"subgroup{a, c}", lambda d: subgroup_decompose(d, a, c)),
+                  st.sampled_from(names), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])),
+        st.builds(lambda a, s: (f"decompose{a}", lambda d: decompose(d, a, s)),
+                  attr_lists, st.sampled_from(SPECS)),
+        st.builds(lambda a, e: (f"atkinson{a, e}", lambda d: atkinson_decompose(d, a, e)),
+                  attr_lists, st.sampled_from([0.5, 1.0, 2.0])),
+        st.builds(lambda a, s: (f"shapley{a}", lambda d: shapley_values(d, a, s)),
+                  attr_lists, st.sampled_from(SPECS)),
+        st.builds(lambda a, s: (f"synergy{a}", lambda d: game_synergy(d, *a, s)),
+                  st.permutations(names).map(lambda p: p[:2]).filter(lambda p: len(p) == 2),
+                  st.sampled_from(SPECS)),
+        st.builds(lambda k: (f"scaled({k})", lambda d: d.scaled(k)),
+                  st.sampled_from([2.0, 0.3, 1e-3])),
+    )
+    cap = draw(st.integers(1, 7))
+    return values, attrs, names, cap, draw(st.lists(call, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(call_sequences())
+def test_calls_on_one_dataset_have_the_bits_of_a_fresh_one(case):
+    """A sequence of calls on one Dataset, under a cap on kept groupings
+    that drops and rebuilds them, gives each result the bits of the same
+    call on a fresh Dataset of the same indicators. A `scaled` result is
+    the Dataset the calls after it run on."""
+    values, attrs, names, cap, calls = case
+    d = Dataset(values, attrs, names)
+    with mock.patch.object(population, "_KEPT_GROUPINGS", cap):
+        for name, call in calls:
+            got = outcome(lambda: call(d))
+            want = outcome(lambda: call(Dataset(d.indicators, attrs, names)))
+            assert canonical(got) == canonical(want), name
+            assert len(d._groupings) <= cap
+            if isinstance(got, Dataset):
+                d = got
+
+
+def test_writing_the_callers_indicators_changes_no_result():
+    values = np.array([1.0, 3.0, 2.0, 6.0])
+    attrs = {"A": ["x", "y", "x", "y"]}
+    d, want = Dataset(values, attrs), Dataset(values.copy(), attrs)
+    values *= [5.0, 0.0, 1.0, 2.0]
+    spec = MeasureSpec(theil())
+    assert bits(d.indicators) == bits(want.indicators)
+    assert canonical(grouped_columns(d, ["A"])) == canonical(grouped_columns(want, ["A"]))
+    assert canonical(group_by(d, ["A"])) == canonical(group_by(want, ["A"]))
+    assert inequality(population_matrix(d), spec) == inequality(population_matrix(want), spec)
+
+
+def test_indicators_are_read_only():
+    d = Dataset([1.0, 2.0, 3.0], {"A": ["x", "y", "x"]})
+    grouped_columns(d, ["A"])
+    with pytest.raises(ValueError):
+        d.indicators[0] = 5.0
+    assert d.indicators.tolist() == [1.0, 2.0, 3.0]
+    assert grouped_columns(d, ["A"]).shares.tolist() == [4 / 6, 2 / 6]
