@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 input/configuration error, 3 numeric/domain error
 (an infinite value where finiteness is required, or a transform domain
-violation). Set INEQLAB_LOG=debug|info|off to control logging.
+violation).
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
-import logging
 import math
-import os
 import sys
 from itertools import chain, combinations, repeat
 from typing import Sequence
@@ -40,9 +38,6 @@ from .shapley import _all_values, _phi
 from .shapley import game_synergy, shapley_values  # noqa: F401
 from .zonogon import canonical_chain
 
-log = logging.getLogger("ineqlab")
-log.addHandler(logging.NullHandler())
-
 
 class InputError(click.ClickException):
     exit_code = 2
@@ -63,17 +58,6 @@ class _Main(click.Group):
             raise NumericError(str(exc)) from exc
         except IneqError as exc:
             raise InputError(str(exc)) from exc
-
-
-def _setup_logging() -> None:
-    """Set the level of the `ineqlab` logger only; other loggers in the
-    process are left as they are."""
-    level = os.environ.get("INEQLAB_LOG", "off").lower()
-    if level == "off":
-        log.setLevel(logging.CRITICAL + 1)
-        return
-    log.setLevel(logging.DEBUG if level == "debug" else logging.INFO)
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
 
 def ingest(path: str, value_col: str, attrs: Sequence[str]) -> Dataset:
@@ -276,13 +260,10 @@ def _checked_rows(rows, ends, header: list[str], vi: int, attr_idx: list[int]):
     return np.array(values, dtype=float), labels
 
 
-def _round(value: float, precision: int):
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return round(value + 0.0, precision)
-
-
-def _emit(payload: dict, fmt: str) -> None:
+def _emit(payload: dict, fmt: str, precision: int) -> None:
+    """Print `payload` as JSON or as key,value CSV rows, each float rounded
+    by `_rounded`."""
+    payload = _rounded(payload, precision)
     if fmt == "json":
         click.echo(json.dumps(payload, indent=2))
     else:
@@ -290,6 +271,20 @@ def _emit(payload: dict, fmt: str) -> None:
         writer.writerow(["key", "value"])
         for key, value in _flatten(payload):
             writer.writerow([key, value])
+
+
+def _rounded(obj, precision: int):
+    """`obj` with every float rounded to `precision` digits, -0.0 as 0.0,
+    and an infinity as "inf" or "-inf"."""
+    if isinstance(obj, dict):
+        return {k: _rounded(v, precision) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v, precision) for v in obj]
+    if not isinstance(obj, float):
+        return obj
+    if math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return round(obj + 0.0, precision)
 
 
 def _flatten(obj, prefix=""):
@@ -317,7 +312,6 @@ precision_opt = click.option(
 @click.group(cls=_Main)
 def main() -> None:
     """Inequality measures and attribute decompositions."""
-    _setup_logging()
 
 
 @main.command("measure")
@@ -334,8 +328,7 @@ def cmd_measure(path, value_col, measure_str, fmt, precision):
         value = atkinson(pop, parsed)
     else:
         value = inequality(population_matrix(pop), parsed)
-    log.info("measure %s = %s", measure_str, value)
-    _emit({"measure": measure_str, "value": _round(value, precision)}, fmt)
+    _emit({"measure": measure_str, "value": value}, fmt, precision)
 
 
 @main.command("lorenz")
@@ -371,30 +364,19 @@ def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
         result = atkinson_decompose(pop, attrs, parsed)
     else:
         result = decompose(pop, attrs, parsed)
-    payload = {
-        "measure": measure_str,
-        "attributes": attrs,
-        "total": _round(result.total, precision),
-    }
+    payload = {"measure": measure_str, "attributes": attrs, "total": result.total}
     if len(attrs) == 2:
         named = result.named(attrs[0], attrs[1])
         payload["components"] = {
-            "redundant": _round(named["redundant"], precision),
-            "unique": {
-                attrs[0]: _round(named[f"unique_{attrs[0]}"], precision),
-                attrs[1]: _round(named[f"unique_{attrs[1]}"], precision),
-            },
-            "synergy": _round(named["synergetic"], precision),
+            "redundant": named["redundant"],
+            "unique": {a: named[f"unique_{a}"] for a in attrs},
+            "synergy": named["synergetic"],
         }
     payload["lattice"] = [
-        {
-            "node": node.label(),
-            "cumulative": _round(cum, precision),
-            "partial": _round(part, precision),
-        }
+        {"node": node.label(), "cumulative": cum, "partial": part}
         for node, cum, part in result.nodes
     ]
-    _emit(payload, fmt)
+    _emit(payload, fmt, precision)
 
 
 @main.command("shapley")
@@ -414,15 +396,11 @@ def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
     values = _all_values(pop, attrs, parsed)
     phi = _phi(values, attrs)
     interactions = {
-        f"{a}|{b}": _round(values[(a, b)] - values[(a,)] - values[(b,)], precision)
+        f"{a}|{b}": values[(a, b)] - values[(a,)] - values[(b,)]
         for a, b in combinations(attrs, 2)
     }
-    payload = {
-        "values": {a: _round(v, precision) for a, v in phi.items()},
-        "efficiency_check": _round(sum(phi.values()), precision),
-        "interactions": interactions,
-    }
-    _emit(payload, fmt)
+    payload = {"values": phi, "efficiency_check": sum(phi.values()), "interactions": interactions}
+    _emit(payload, fmt, precision)
 
 
 @main.command("subgroup")
@@ -442,19 +420,14 @@ def cmd_subgroup(path, value_col, measure_str, group_attr, fmt, precision):
     c = _ge_parameter(parsed)
     result = subgroup_decompose(pop, group_attr, c)
     payload = {
-        "between": _round(result.between, precision),
+        "between": result.between,
         "within": [
-            {
-                "group": "|".join(key),
-                "weight": _round(w, precision),
-                "value": _round(v, precision),
-            }
-            for key, w, v in result.within
+            {"group": "|".join(key), "weight": w, "value": v} for key, w, v in result.within
         ],
-        "reconstruction": _round(result.reconstruction, precision),
-        "total": _round(result.total, precision),
+        "reconstruction": result.reconstruction,
+        "total": result.total,
     }
-    _emit(payload, fmt)
+    _emit(payload, fmt, precision)
 
 
 def _ge_parameter(spec: MeasureSpec) -> float:

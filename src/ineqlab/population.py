@@ -266,10 +266,7 @@ class WeightedColumns:
 def population_matrix(pop: Dataset) -> WeightedColumns:
     """One column per record: weight 1/n, share s/(n*mean)."""
     n = len(pop)
-    total = pop.indicators.sum()
-    if total <= 0:
-        raise DegeneratePopulation("population mean is zero")
-    return WeightedColumns(np.full(n, 1.0 / n), pop.indicators / total)
+    return WeightedColumns(np.full(n, 1.0 / n), pop.indicators / pop.indicators.sum())
 
 
 def bottom() -> WeightedColumns:

@@ -129,10 +129,9 @@ def _prune_collinear(points: np.ndarray) -> np.ndarray:
         return points
     d = points[1:] - points[:-1]
     cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
-    length = np.hypot(d[:, 0], d[:, 1])
-    scale = np.maximum(1.0, length[:-1] * length[1:])
     keep = np.ones(len(points), dtype=bool)
-    keep[1:-1] = np.abs(cross) > MERGE_TOL * scale
+    # consecutive pieces of a meet sum to at most (1, 1), so |d1||d2| <= 1
+    keep[1:-1] = np.abs(cross) > MERGE_TOL
     return points[keep]
 
 

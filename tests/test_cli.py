@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import logging
 import math
 import os
 import subprocess
@@ -199,19 +198,17 @@ def test_subgroup_zero_income_group_mld_is_infinite(runner, tmp_path):
     assert payload["within"][0] == {"group": "r1", "weight": "inf", "value": 0.0}
 
 
-def test_logging_off_leaves_other_loggers_alone(runner, xor_file, monkeypatch):
-    monkeypatch.delenv("INEQLAB_LOG", raising=False)
-    invoke(runner, ["measure", "-i", xor_file, "--value-col", "income"])
-    assert logging.root.manager.disable == 0
-    assert not logging.getLogger("ineqlab").isEnabledFor(logging.CRITICAL)
-    assert logging.getLogger("elsewhere").isEnabledFor(logging.WARNING)
-
-
-def test_logging_info_reaches_handlers(runner, xor_file, monkeypatch, caplog):
-    monkeypatch.setenv("INEQLAB_LOG", "info")
-    with caplog.at_level(logging.INFO, logger="ineqlab"):
-        invoke(runner, ["measure", "-i", xor_file, "--value-col", "income"])
-    assert "measure theil" in caplog.text
+def test_subgroup_zero_income_group_mld_is_infinite_in_csv(runner, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("income,region\n0,r1\n0,r1\n3,r2\n5,r2\n")
+    res = invoke(
+        runner,
+        ["subgroup", "-i", str(p), "--value-col", "income", "--group-by", "region",
+         "--measure", "mld", "--format", "csv"],
+    )
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert {"reconstruction,inf", "total,inf", "within.0.weight,inf"} <= set(lines)
 
 
 def test_ingest_negative_value_exit_2(runner, tmp_path):

@@ -36,8 +36,12 @@ COMMANDS = {
     "lorenz_grouped": ["lorenz", "--group-by", ALL3],
     "decompose_theil": ["decompose", "--measure", "theil", "--attrs", ALL3],
     "decompose_theil_pair": ["decompose", "--measure", "theil", "--attrs", "tier,size"],
+    "decompose_theil_pair_csv": [
+        "decompose", "--measure", "theil", "--attrs", "tier,size", "--format", "csv"
+    ],
     "decompose_atkinson": ["decompose", "--measure", "atkinson:0.5", "--attrs", "tier,region"],
     "shapley": ["shapley", "--measure", "theil", "--attrs", ALL3],
+    "shapley_csv": ["shapley", "--measure", "theil", "--attrs", ALL3, "--format", "csv"],
     "subgroup": ["subgroup", "--measure", "ge:2", "--group-by", "tier"],
     "subgroup_csv": ["subgroup", "--measure", "mld", "--group-by", "size", "--format", "csv"],
 }
