@@ -322,8 +322,8 @@ def main() -> None:
 @precision_opt
 def cmd_measure(path, value_col, measure_str, fmt, precision):
     """Compute one inequality measure over the whole population."""
-    pop = ingest(path, value_col, ())
     kind, parsed = parse_measure(measure_str)
+    pop = ingest(path, value_col, ())
     if kind == "atkinson":
         value = atkinson(pop, parsed)
     else:
@@ -357,9 +357,9 @@ def cmd_lorenz(path, value_col, group_attrs, precision):
 @precision_opt
 def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
     """Redundant/unique/synergetic decomposition over the attribute lattice."""
+    kind, parsed = parse_measure(measure_str)
     attrs = [a.strip() for a in attrs_str.split(",")]
     pop = ingest(path, value_col, attrs)
-    kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         result = atkinson_decompose(pop, attrs, parsed)
     else:
@@ -388,11 +388,11 @@ def cmd_decompose(path, value_col, measure_str, attrs_str, fmt, precision):
 @precision_opt
 def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
     """Exact Shapley values of the grouped-inequality game."""
-    attrs = [a.strip() for a in attrs_str.split(",")]
-    pop = ingest(path, value_col, attrs)
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         raise InvalidMeasure("shapley requires an f-inequality measure")
+    attrs = [a.strip() for a in attrs_str.split(",")]
+    pop = ingest(path, value_col, attrs)
     values = _all_values(pop, attrs, parsed)
     phi = _phi(values, attrs)
     interactions = {
@@ -412,12 +412,12 @@ def cmd_shapley(path, value_col, measure_str, attrs_str, fmt, precision):
 @precision_opt
 def cmd_subgroup(path, value_col, measure_str, group_attr, fmt, precision):
     """Classical GE between/within subgroup decomposition."""
-    group_attr = group_attr.strip()
-    pop = ingest(path, value_col, [group_attr])
     kind, parsed = parse_measure(measure_str)
     if kind == "atkinson":
         raise InvalidMeasure("subgroup decomposition is defined for the GE family")
     c = _ge_parameter(parsed)
+    group_attr = group_attr.strip()
+    pop = ingest(path, value_col, [group_attr])
     result = subgroup_decompose(pop, group_attr, c)
     payload = {
         "between": result.between,

@@ -10,10 +10,10 @@ from synergy.
 from __future__ import annotations
 
 from itertools import combinations
-from math import factorial
+from math import factorial, isinf
 from typing import Sequence
 
-from .errors import TooManyAttributes
+from .errors import InfiniteMeasure, TooManyAttributes
 from .measures import MeasureSpec, inequality
 from .population import Dataset, _check_distinct, grouped_columns
 
@@ -29,7 +29,7 @@ def game_value(pop: Dataset, coalition: Sequence[str], spec: MeasureSpec) -> flo
 
 def _all_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict:
     """Value of every coalition of `attrs`, keyed by its attributes in the
-    order of `attrs`."""
+    order of `attrs`; raises `_check_finite`'s error."""
     _check_distinct(attrs)
     if len(attrs) > MAX_PLAYERS:
         raise TooManyAttributes(f"exact enumeration supports up to {MAX_PLAYERS} attributes")
@@ -39,7 +39,16 @@ def _all_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dict:
     for r in reversed(range(1, len(attrs) + 1)):
         for coalition in combinations(attrs, r):
             values[coalition] = game_value(pop, coalition, spec)
+    _check_finite(values)
     return values
+
+
+def _check_finite(values: dict) -> None:
+    """Raise InfiniteMeasure naming the first infinite coalition of the
+    fewest attributes, coalitions of one size in the order of `values`."""
+    for coalition in sorted(values, key=len):
+        if isinf(values[coalition]):
+            raise InfiniteMeasure(f"value of coalition [{','.join(coalition)}] is infinite")
 
 
 def _phi(values: dict, attrs: Sequence[str]) -> dict[str, float]:
@@ -62,19 +71,19 @@ def shapley_values(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> dic
     """Exact Shapley values of the grouped-inequality game.
 
     Enumerates all 2^n coalitions; efficiency (values summing to the
-    grand-coalition value) holds by construction.
+    grand-coalition value) holds by construction. An infinite coalition
+    value raises InfiniteMeasure (`_check_finite`).
     """
     attrs = list(attrs)
     return _phi(_all_values(pop, attrs, spec), attrs)
 
 
 def game_synergy(pop: Dataset, a: str, b: str, spec: MeasureSpec) -> float:
-    """Interaction term v({a,b}) - v({a}) - v({b}); negative means redundancy."""
+    """Interaction term v({a,b}) - v({a}) - v({b}); negative means redundancy.
+    An infinite value raises InfiniteMeasure (`_check_finite`)."""
     if a == b:
         raise ValueError("game_synergy requires two distinct attributes")
     pair = tuple(x for x in pop.attribute_names if x in (a, b))
-    return (
-        game_value(pop, pair, spec)
-        - game_value(pop, (a,), spec)
-        - game_value(pop, (b,), spec)
-    )
+    values = {c: game_value(pop, c, spec) for c in (pair, (a,), (b,))}
+    _check_finite(values)
+    return values[pair] - values[(a,)] - values[(b,)]

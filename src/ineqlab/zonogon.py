@@ -33,16 +33,11 @@ class Zonogon:
 
     def __init__(self, vertices: np.ndarray, generators: np.ndarray | None = None):
         self.vertices = np.asarray(vertices, dtype=float)
-        # exact generating vectors, when known; vertex differencing can turn
-        # an exact zero share into a 1-ulp residue, which flips measures
-        # like MLD from infinite to large-but-finite
-        self._generators = None if generators is None else np.asarray(generators, dtype=float)
-
-    @property
-    def edges(self) -> np.ndarray:
-        if self._generators is not None:
-            return self._generators
-        return np.diff(self.vertices, axis=0)
+        # the exact edge vectors, when known; vertex differencing can turn an
+        # exact zero share into a 1-ulp residue, which flips measures like
+        # MLD from infinite to large-but-finite
+        edges = np.diff(self.vertices, axis=0) if generators is None else generators
+        self.edges = np.asarray(edges, dtype=float)
 
     def to_columns(self) -> WeightedColumns:
         e = self.edges
@@ -63,17 +58,16 @@ class Zonogon:
 def _merge_parallel(vectors: np.ndarray) -> np.ndarray:
     """Sum runs of slope-sorted vectors whose slopes coincide.
 
-    A vector v joins the run when its cross product with the run's sum u
-    satisfies |u x v| <= MERGE_TOL * max(1, |u||v|). Wherever |u||v| <= 1,
-    which holds for every column of size 1/n, that is an absolute 1e-12
-    cutoff, and distinct slopes merge at large n (see the ROADMAP item on an
-    exact, scale-free chain construction).
+    A vector v joins the run when its cross product with the run's sum u is
+    at most MERGE_TOL, an absolute cutoff, so distinct slopes of columns of
+    size 1/n merge at large n (see the ROADMAP item on an exact, scale-free
+    chain construction). A cutoff scaled by max(1, |u||v|) would be the same:
+    u and v are disjoint sums of non-negative columns whose rows each sum to
+    one, so where they are nearly parallel |u||v| <= |u + v|^2 / 4, about 1/2.
 
     One pass over Python floats; the run's sum is kept as two floats and
-    stored only where the run ends. The arithmetic is that of a loop over
-    numpy scalars, with the scale from np.hypot wherever it may exceed 1,
-    so the merges and sums equal that loop's bit for bit (the oracle in
-    tests/test_zonogon.py).
+    stored only where the run ends. The merges and sums equal those of a
+    loop over numpy scalars bit for bit (the oracle in tests/test_zonogon.py).
     """
     if len(vectors) <= 1:
         return vectors
@@ -81,12 +75,7 @@ def _merge_parallel(vectors: np.ndarray) -> np.ndarray:
     ux, uy = next(it)
     out = []
     for vx, vy in it:
-        cross = abs(ux * vy - uy * vx)
-        # a squared product below 1/4 puts |u||v| below 1/2, so the scale is 1
-        if cross <= MERGE_TOL or (
-            (ux * ux + uy * uy) * (vx * vx + vy * vy) >= 0.25
-            and cross <= MERGE_TOL * max(1.0, float(np.hypot(ux, uy) * np.hypot(vx, vy)))
-        ):
+        if abs(ux * vy - uy * vx) <= MERGE_TOL:
             ux += vx
             uy += vy
         else:

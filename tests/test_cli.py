@@ -313,6 +313,48 @@ def test_non_finite_measure_parameter_exit_2(runner, xor_file, command, measure,
     assert res.output.endswith(f"Error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["measure", "--measure", "bogus"], "unknown measure 'bogus'"),
+        (["decompose", "--attrs", "A,B", "--measure", "bogus"], "unknown measure 'bogus'"),
+        (["shapley", "--attrs", "A,B", "--measure", "bogus"], "unknown measure 'bogus'"),
+        (["subgroup", "--group-by", "A", "--measure", "bogus"], "unknown measure 'bogus'"),
+        (["shapley", "--attrs", "A,B", "--measure", "atkinson:1"],
+         "shapley requires an f-inequality measure"),
+        (["subgroup", "--group-by", "A", "--measure", "atkinson:1"],
+         "subgroup decomposition is defined for the GE family"),
+        (["subgroup", "--group-by", "A", "--measure", "pietra"],
+         "subgroup decomposition is defined for the GE family"),
+        (["subgroup", "--group-by", "A", "--measure", "ge:2@p=0.5"],
+         "subgroup decomposition requires p = 0"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+)
+def test_measure_is_checked_before_the_file_is_read(runner, tmp_path, args, message):
+    missing = str(tmp_path / "missing.csv")
+    res = runner.invoke(main, [args[0], "-i", missing, "--value-col", "income", *args[1:]])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"Error: {message}\n"
+
+
+# income is zero in both records of a = x: a grouping that separates them
+# has an infinite between-group MLD and GE(-1)
+ZERO_CELL_CSV = "income,a,b\n0,x,p\n0,x,q\n3,y,p\n5,y,q\n"
+
+
+@pytest.mark.parametrize("measure", ["mld", "ge:-1"])
+def test_shapley_of_an_infinite_game_exit_3(runner, tmp_path, measure):
+    p = tmp_path / "d.csv"
+    p.write_text(ZERO_CELL_CSV)
+    args = ["shapley", "-i", str(p), "--value-col", "income", "--attrs", "a,b"]
+    res = runner.invoke(main, [*args, "--measure", measure])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "Error: value of coalition [a] is infinite\n"
+
+
 def test_round_trip_determinism(runner, xor_file):
     args = [
         "decompose",
@@ -643,13 +685,17 @@ def test_a_name_that_is_not_an_attribute_exit_2(runner, tmp_path, args):
 def test_field_over_the_size_limit_exit_2(runner, tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("g,income\n" + "a,1\n" * 3 + f"{'x' * 9},2\n")
+    h = tmp_path / "h.csv"
+    h.write_text(f"{'x' * 9},income\na,1\n")
     limit = csv.field_size_limit(8)
     try:
         res = runner.invoke(main, ["measure", "-i", str(p), "--value-col", "income"])
+        in_header = runner.invoke(main, ["measure", "-i", str(h), "--value-col", "income"])
     finally:
         csv.field_size_limit(limit)
-    assert res.exit_code == 2
+    assert res.exit_code == in_header.exit_code == 2
     assert "Error: line 5: field larger than field limit (8)\n" in res.output
+    assert in_header.stderr == "Error: line 1: field larger than field limit (8)\n"
 
 
 # -- the block reader against the whole-file row reader ---------------------------

@@ -83,6 +83,8 @@ def test_cumulative_values(d_xor, d_red):
     assert cumulative(joint, d_xor, SPEC) == pytest.approx(THEIL_13)
     assert cumulative(both, d_xor, SPEC) == pytest.approx(0.0, abs=1e-12)
     assert cumulative(both, d_red, SPEC) == pytest.approx(THEIL_13)
+    with pytest.raises(KeyError):
+        decompose(d_xor, ["A", "B"], SPEC).cumulative(LatticeNode.of(("C",)))
 
 
 def test_decompose_xor_all_synergy(d_xor):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ineqlab import (
     Dataset,
+    DegeneratePopulation,
     InvalidMeasure,
     MeasureSpec,
     NegativeComponent,
@@ -143,10 +144,16 @@ def test_atkinson_zero_income_limits():
     assert atkinson(d, 2) == 1.0
 
 
+def test_atkinson_of_a_mean_that_rounds_to_zero():
+    with pytest.raises(DegeneratePopulation):
+        atkinson(Dataset([5e-324, 0, 0]), 0.5)  # a Dataset, with mean 5e-324 / 3 == 0
+
+
 def test_atkinson_transform_hand_values():
     assert atkinson_transform(0.0, 0.7) == pytest.approx(0.0, abs=1e-12)
     assert atkinson_transform(GE05_13, 0.5) == pytest.approx(ATK05_13)
     assert atkinson_transform(MLD_13, 1) == pytest.approx(ATK1_13)
+    assert atkinson_transform(math.inf, 2.0) == 1.0  # c < 0: the limit as x -> inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -163,6 +170,8 @@ def test_non_finite_parameters_are_rejected(bad):
 def test_atkinson_transform_domain_error():
     with pytest.raises(TransformDomainError):
         atkinson_transform(100.0, 0.5)
+    with pytest.raises(TransformDomainError, match="infinite input"):
+        atkinson_transform(math.inf, 0.5)
 
 
 def test_custom_generator_roundtrip():
@@ -176,6 +185,8 @@ def test_custom_generator_rejects_concave():
         custom(lambda t: -((t - 1) ** 2), strictly_convex=True)
     with pytest.raises(InvalidMeasure):
         custom(lambda t: t, strictly_convex=False)  # f(1) != 0
+    with pytest.raises(InvalidMeasure, match="finite"):
+        custom(lambda t: np.where(t > 1e3, np.nan, np.abs(t - 1)), strictly_convex=False)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +241,8 @@ def test_parse_measure_grammar():
 @pytest.mark.parametrize(
     "bad",
     ["gini", "ge:x", "atkinson:0", "atkinson:-1", "theil@q=1", "theil@p=2", "atkinson:1@p=0.5"]
-    + ["ge:nan", "ge:inf", "ge:-inf", "atkinson:nan", "atkinson:inf", "theil@p=nan"],
+    + ["ge:nan", "ge:inf", "ge:-inf", "atkinson:nan", "atkinson:inf", "theil@p=nan"]
+    + ["theil@p=x", "atkinson:x"],
 )
 def test_parse_measure_rejects(bad):
     with pytest.raises(InvalidMeasure):

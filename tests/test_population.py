@@ -72,6 +72,10 @@ def test_population_errors():
         Dataset([1, -2])
     with pytest.raises(NegativeComponent):
         Dataset([1, float("nan")])
+    with pytest.raises(UnknownAttribute, match="has 1 values for 2 records"):
+        Dataset([1, 2], {"A": ["a"]})
+    with pytest.raises(UnknownAttribute, match="do not match"):
+        Dataset([1, 2], {"A": ["a", "b"]}, ["B"])
 
 
 def test_zero_indicators_are_retained():
@@ -251,6 +255,8 @@ def test_scaled_checks_nothing_again_and_keeps_the_cells(grouped, k):
 def test_weighted_columns_validation():
     with pytest.raises(ValueError):
         WeightedColumns([0.5, 0.4], [0.5, 0.5])
+    with pytest.raises(ValueError, match="equal length"):
+        WeightedColumns([1.0], [0.5, 0.5])
     with pytest.raises(NegativeComponent):
         WeightedColumns([1.5, -0.5], [0.5, 0.5])
     for nan_in in ([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 1.0]):

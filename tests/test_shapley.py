@@ -1,14 +1,20 @@
 """Shapley values and game synergy of the grouped-inequality game."""
 
+import math
+import re
+
 import pytest
 
 from ineqlab import (
     Dataset,
+    InfiniteMeasure,
     MeasureSpec,
     TooManyAttributes,
     decompose,
     game_synergy,
     game_value,
+    ge,
+    mld,
     shapley_values,
     theil,
 )
@@ -53,6 +59,40 @@ def test_shapley_rejects_too_many_players():
 def test_game_synergy_signs(d_xor, d_red):
     assert game_synergy(d_xor, "A", "B", SPEC) == pytest.approx(THEIL_13)
     assert game_synergy(d_red, "A", "B", SPEC) == pytest.approx(-THEIL_13)
+
+
+def test_game_synergy_requires_two_attributes(d_xor):
+    with pytest.raises(ValueError, match="two distinct attributes"):
+        game_synergy(d_xor, "A", "A", SPEC)
+
+
+def _zero_cell(incomes):
+    return Dataset(incomes, {"a": ["x", "x", "y", "y"], "b": ["p", "q", "p", "q"]}, ["a", "b"])
+
+
+@pytest.mark.parametrize("spec", [MeasureSpec(mld()), MeasureSpec(ge(-1))], ids=["mld", "ge:-1"])
+@pytest.mark.parametrize(
+    "incomes, coalition",
+    [([0, 0, 3, 5], "[a]"), ([0, 1, 2, 3], "[a,b]")],
+    ids=["a-and-pair", "pair-only"],
+)
+def test_an_infinite_coalition_raises(spec, incomes, coalition):
+    """The error names the infinite coalition of the fewest attributes, not
+    the grand coalition the values start from; with one record of zero
+    income only the grand coalition is infinite."""
+    d = _zero_cell(incomes)
+    message = re.escape(f"value of coalition {coalition} is infinite") + "$"
+    with pytest.raises(InfiniteMeasure, match=message):
+        shapley_values(d, ["a", "b"], spec)
+    with pytest.raises(InfiniteMeasure, match=message):
+        game_synergy(d, "a", "b", spec)
+
+
+def test_theil_with_a_zero_income_cell_stays_finite():
+    d = _zero_cell([0, 0, 3, 5])
+    phi = shapley_values(d, ["a", "b"], SPEC)
+    assert all(math.isfinite(v) for v in phi.values())
+    assert math.isfinite(game_synergy(d, "a", "b", SPEC))
 
 
 def test_game_synergy_independent_attributes():

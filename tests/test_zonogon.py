@@ -289,6 +289,8 @@ def test_minkowski_single_and_bottom():
     zb = canonical_chain(bottom())
     assert order(minkowski_sum([z]), z) is OrderRelation.EQUAL
     assert len(minkowski_sum([zb, zb]).vertices) == 2
+    with pytest.raises(ValueError, match="at least one zonogon"):
+        minkowski_sum([])
 
 
 def test_minkowski_hand_example():
@@ -353,34 +355,68 @@ def _slope_sorted(vectors):
     return v[np.argsort(-np.arctan2(v[:, 1], v[:, 0]), kind="stable")]
 
 
-# zero weights (vertical columns), zero shares, and sizes past 1, where
-# |u||v| > 1 sets the scale of the merge cutoff
+# zero weights (vertical columns), zero shares and a wide range of sizes
 _COORD = st.one_of(st.just(0.0), st.floats(1e-9, 2.0), st.sampled_from([0.25, 0.5, 1.0]))
 
 
 @st.composite
 def _pooled_vectors(draw):
-    """Vectors drawn with repetition from a small pool: exact duplicates."""
+    """Vectors drawn with repetition from a small pool, exact duplicates,
+    rescaled so that their weights and shares each sum to one; a row that
+    sums to zero is set to ones."""
     pool = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=6))
-    return _slope_sorted(draw(st.lists(st.sampled_from(pool), max_size=30)))
+    v = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)))
+    sums = v.sum(axis=0)
+    v[:, sums == 0] = 1.0
+    v /= np.where(sums == 0, len(v), sums)
+    return _slope_sorted(v)
 
 
 @st.composite
 def _near_cutoff_pairs(draw):
     """Two vectors whose cross product is within a few rounding steps of
-    MERGE_TOL times the scale. For small vectors a step is a few ulps of
-    1e-12; vectors past size 1 take the scale branch. In slope order the
-    cross product is about -1e-12; the reverse order, about +1e-12, is what
-    rounding in the angles can give for nearly parallel vectors."""
-    size = draw(st.sampled_from([1e-6, 1e-3, 1.0, 2.0]))
+    MERGE_TOL, a few ulps of 1e-12. In slope order the cross product is
+    about -1e-12; the reverse order, about +1e-12, is what rounding in the
+    angles can give for nearly parallel vectors."""
+    size = draw(st.sampled_from([1e-6, 1e-3]))
     ux, uy, vx = (draw(st.floats(size / 8, size)) for _ in range(3))
-    scale = max(1.0, float(np.hypot(ux, uy) * np.hypot(vx, vx * uy / ux)))
-    vy = (MERGE_TOL * scale + uy * vx) / ux
+    vy = (MERGE_TOL + uy * vx) / ux
     steps = draw(st.integers(-4, 4))
     for _ in range(abs(steps)):
         vy = np.nextafter(vy, np.sign(steps) * np.inf)
     pair = np.array([(vx, vy), (ux, uy)])
     return pair if draw(st.booleans()) else pair[::-1].copy()
+
+
+@st.composite
+def _grouped_cells(draw):
+    """The between-group columns of 1 to 300 records in up to 40 cells, each
+    record's income its cell's mean from a small pool, so that cell means
+    tie and cells of different sizes have equal slopes."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 40))
+    cell = rng.integers(0, k, n)
+    means = rng.choice([0.0, 0.5, 1.0, 1.3, 2.7, 1e-9], k)
+    values = means[cell]
+    if not values.any():
+        values[0] = 1.0
+    d = Dataset(values, {"A": cell.astype(str)}, ["A"])
+    cols = grouped_columns(d, ["A"])
+    return _slope_sorted(np.column_stack([cols.weights, cols.shares]))
+
+
+@st.composite
+def _minkowski_generators(draw):
+    """The generators `minkowski_sum` passes to `canonical_chain`: the edges
+    of 1 to 4 chains of up to 30 records, divided by the number of chains;
+    incomes from a small pool with zeros tie, others are distinct."""
+    incomes = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]), st.floats(0.01, 100.0))
+    chains = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(incomes, min_size=1, max_size=30))
+        chains.append(chain_of(values if any(values) else [1.0, *values]))
+    return _slope_sorted(np.vstack([z.edges for z in chains]) / len(chains))
 
 
 @st.composite
@@ -400,7 +436,13 @@ def _columns_of_size_1_over_n(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_pooled_vectors(), _near_cutoff_pairs(), _columns_of_size_1_over_n()))
+@given(st.one_of(
+    _pooled_vectors(),
+    _near_cutoff_pairs(),
+    _columns_of_size_1_over_n(),
+    _grouped_cells(),
+    _minkowski_generators(),
+))
 def test_merge_parallel_matches_the_numpy_scalar_loop(vectors):
     assert np.array_equal(_merge_parallel(vectors), _merge_parallel_oracle(vectors))
 
