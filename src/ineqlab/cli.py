@@ -284,7 +284,7 @@ def _rounded(obj, precision: int):
         return obj
     if math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
-    return round(obj + 0.0, precision)
+    return round(obj, precision) + 0.0
 
 
 def _flatten(obj, prefix=""):

@@ -177,7 +177,8 @@ def _r(x: np.ndarray, y: np.ndarray, spec: MeasureSpec) -> np.ndarray:
 
 
 def r_fp(v: tuple[float, float], spec: MeasureSpec) -> float:
-    """Measure of one column vector; non-negative, possibly infinite."""
+    """Measure of one column vector, possibly infinite. One column's r can be
+    negative; a sum over columns whose rows each sum to one is at least 0."""
     x, y = float(v[0]), float(v[1])
     if not (x >= 0 and y >= 0):  # a NaN fails too
         raise NegativeComponent("vector components must be non-negative")
@@ -185,12 +186,13 @@ def r_fp(v: tuple[float, float], spec: MeasureSpec) -> float:
 
 
 def _summed(terms: np.ndarray) -> float:
-    """Sum of r terms; +inf is propagated explicitly."""
+    """Sum of r terms; +inf propagates and a NaN stays NaN. A sum that rounding
+    takes below zero is 0.0: by Jensen it is at least f(1) = 0."""
     total = float(terms.sum())
     # a finite sum has no infinite term; only a non-finite one needs the scan
     if not math.isfinite(total) and np.isinf(terms).any():
         return math.inf
-    return total
+    return max(total, 0.0)
 
 
 def inequality(cols: WeightedColumns, spec: MeasureSpec) -> float:
@@ -207,7 +209,7 @@ def _check_eps(eps: float) -> None:
 
 
 def atkinson(pop: Dataset, eps: float) -> float:
-    """Atkinson index 1 - (generalized mean of order 1-eps)/mean."""
+    """Atkinson index 1 - (generalized mean of order 1-eps)/mean, at least 0."""
     _check_eps(eps)
     s = pop.indicators
     mean = pop.mean
@@ -217,7 +219,7 @@ def atkinson(pop: Dataset, eps: float) -> float:
         if np.any(s == 0):
             return 1.0
         gm = math.exp(float(np.log(s).mean()))
-        return 1.0 - gm / mean
+        return max(1.0 - gm / mean, 0.0)
     q = 1.0 - eps
     with np.errstate(divide="ignore"):
         powered = np.where(s > 0, s, np.nan) ** q
@@ -225,7 +227,7 @@ def atkinson(pop: Dataset, eps: float) -> float:
     m = float(powered.mean())
     if math.isinf(m):
         return 1.0  # eps > 1 with a zero indicator: generalized mean is 0
-    return 1.0 - m ** (1.0 / q) / mean
+    return max(1.0 - m ** (1.0 / q) / mean, 0.0)
 
 
 def atkinson_transform(x: float, eps: float) -> float:

@@ -84,8 +84,8 @@ class Dataset:
     column given as values, encoded on first grouping; an `Encoded` column
     is kept as its levels and a read-only copy of its codes and decoded on
     first access to `attributes`. A Dataset keeps its encodings and up to
-    `_KEPT_GROUPINGS` cell tables (`_Cells`), each of codes, indicator sums
-    and checked between-group columns, kept and dropped together.
+    `_KEPT_GROUPINGS` read-only cell tables (`_Cells`), each of codes,
+    indicator sums and checked between-group columns, all made at once.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -156,14 +156,10 @@ class Dataset:
         return self._attributes
 
     def scaled(self, k: float) -> "Dataset":
-        """The Dataset with every indicator times `k`. It shares the columns,
-        encodings and kept groupings' codes, so nothing is checked or
-        encoded again, but not the groupings' sums and columns."""
-        scaled = Dataset(self.indicators * k)
-        scaled.attribute_names, scaled._columns = self.attribute_names, self._columns
-        scaled._encoded, kept = dict(self._encoded), self._groupings.items()
-        scaled._groupings = {a: cells._replace(sums=None, columns=None) for a, cells in kept}
-        return scaled
+        """A new Dataset of every indicator times `k`, with no kept grouping and
+        each attribute column passed on as it was given: values or `Encoded`."""
+        attributes = {**self._encoded, **self._columns}
+        return Dataset(self.indicators * k, attributes, self.attribute_names)
 
     def _encode(self, attr: str) -> Encoded:
         """Sorted levels of an attribute, the `str` of each distinct label,
@@ -187,11 +183,10 @@ class Dataset:
         projected, their counts summed (exact) and each record's cell taken
         with one `take` on small codes. With none, it is built with one sort
         of the records' code rows, so only grouped attributes are ever
-        encoded. Sums, where there are none (new, or from `scaled`), are one
-        weighted `bincount` over the records in record order, so each has
-        the same bits whatever is kept. Each use moves a grouping last, and
-        past `_KEPT_GROUPINGS` the first is dropped, sums and columns too, so
-        the grouping later ones are projected from stays kept.
+        encoded. Its sums are one weighted `bincount` over the records in
+        record order, so each has the same bits whatever is kept. Each use
+        moves a grouping last, and past `_KEPT_GROUPINGS` the first is
+        dropped, so the grouping later ones are projected from stays kept.
         """
         kept = self._groupings
         cells = kept.pop(attrs, None)
@@ -208,13 +203,11 @@ class Dataset:
                 counts = np.bincount(cell_codes, weights=parent.counts).astype(np.intp)
                 index = cell_codes.astype(np.min_scalar_type(len(counts))).take(parent.codes)
             levels = [self._encode(a).levels for a in attrs]
-            cells = _Cells(index, counts, None, None, digits, levels)
-        if cells.sums is None:
-            sums = np.bincount(cells.codes, weights=self.indicators, minlength=len(cells.counts))
-            cols = WeightedColumns(cells.counts / len(self), sums / self.indicators.sum())
-            cells = cells._replace(sums=sums, columns=cols)
-            for array in (cells.codes, cells.counts, cells.digits, sums, cols.weights, cols.shares):
+            sums = np.bincount(index, weights=self.indicators, minlength=len(counts))
+            cols = WeightedColumns(counts / len(self), sums / self.indicators.sum())
+            for array in (index, counts, digits, sums, cols.weights, cols.shares):
                 array.flags.writeable = False
+            cells = _Cells(index, counts, sums, cols, digits, levels)
         if len(kept) == _KEPT_GROUPINGS:
             del kept[next(iter(kept))]
         kept[attrs] = cells
@@ -303,8 +296,8 @@ class _Cells(NamedTuple):
 
     codes: np.ndarray
     counts: np.ndarray
-    sums: np.ndarray | None
-    columns: WeightedColumns | None
+    sums: np.ndarray
+    columns: WeightedColumns
     digits: np.ndarray
     levels: list[Sequence[str]]
 
@@ -359,12 +352,10 @@ def group_by(
     A group whose indicators are all zero is no Dataset: it raises
     DegeneratePopulation naming the group's key.
 
-    The records are split into groups by one sort of the cell index, so
-    each sub-dataset holds its group's records in record order. A column
-    given as values is passed on as the group's slice of the values; an
-    encoded column as the levels present in the group and the slice's
-    codes among them, which is the encoding the slice of values would get.
-    No column is decoded.
+    The indicators and each column of `pop.attributes` are ordered cell
+    by cell with one sort of the cell index, and each sub-dataset is given
+    its group's slice of them: its records in record order, each column as
+    values.
     """
     cells = _cells(pop, attrs)
     keys = cells.keys()
@@ -373,21 +364,9 @@ def group_by(
         raise DegeneratePopulation(f"all indicator values of group {keys[zero[0]]!r} are zero")
     order, stops = cells.order(), np.cumsum(cells.counts)
     indicators = pop.indicators[order]
-    columns = {}
-    for name in pop.attribute_names:
-        if name in pop._columns:
-            columns[name] = pop._columns[name][order]
-        else:
-            levels, codes = pop._encoded[name]
-            columns[name] = Encoded(levels, codes[order])
+    columns = {name: col[order] for name, col in pop.attributes.items()}
     groups = []
     for key, start, stop in zip(keys, stops - cells.counts, stops):
-        sub = {}
-        for name, col in columns.items():
-            if isinstance(col, Encoded):
-                present, codes = np.unique(col.codes[start:stop], return_inverse=True)
-                sub[name] = Encoded([col.levels[i] for i in present.tolist()], codes)
-            else:
-                sub[name] = col[start:stop]
+        sub = {name: col[start:stop] for name, col in columns.items()}
         groups.append((key, Dataset(indicators[start:stop], sub, pop.attribute_names)))
     return cells.columns, groups

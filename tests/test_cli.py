@@ -20,10 +20,13 @@ from jsonschema import validate
 
 import ineqlab.shapley
 from ineqlab import Dataset, cli
-from ineqlab.cli import InputError, _check_header, main
+from ineqlab.cli import InputError, _check_header, _rounded, main
 
 XOR_CSV = "region,industry,income\nr1,i1,1\nr1,i2,3\nr2,i1,3\nr2,i2,1\n"
 UNIFORM_CSV = "g,income\na,2\nb,2\nc,2\n"
+# 12 incomes of 3 +- 1e-9: every measure is a sum of terms near f(1) = 0,
+# each with about 1e-16 of error
+NEAR_UNIFORM = str(Path(__file__).parent / "near_uniform.csv")
 
 
 def schema(name):
@@ -386,6 +389,40 @@ def test_precision_flag(runner, xor_file):
         ["measure", "-i", xor_file, "--value-col", "income", "--precision", "2"],
     )
     assert json.loads(res.output)["value"] == 0.13
+
+
+def test_rounding_gives_no_negative_zero():
+    zero = _rounded(-1e-17, 6)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["measure", "--measure", "mld"],
+        ["measure", "--measure", "atkinson:0.5"],
+        ["measure", "--measure", "ge:2@p=0.25"],
+        ["decompose", "--measure", "atkinson:0.5", "--attrs", "A,B"],
+        ["decompose", "--measure", "atkinson:0.5", "--attrs", "A,B,C"],
+        ["decompose", "--measure", "theil", "--attrs", "A,B,C"],
+        ["shapley", "--measure", "theil", "--attrs", "A,B,C"],
+        ["subgroup", "--measure", "ge:2", "--group-by", "A"],
+    ],
+    ids=" ".join,
+)
+def test_near_uniform_incomes_give_no_negative_measure(runner, args):
+    """Rounded, no value is negative or -0.0; at full precision, no measure
+    (a value, total, cumulative, between or reconstruction) is negative,
+    while a partial or a Shapley value may be."""
+    base = [*args, "-i", NEAR_UNIFORM, "--value-col", "income"]
+    for fmt in ("json", "csv"):
+        res = invoke(runner, [*base, "--format", fmt])
+        assert res.exit_code == 0, res.output
+        assert "-" not in res.output
+    res = invoke(runner, [*base, "--format", "csv", "--precision", "20"])
+    measures = ("value", "total", "cumulative", "between", "reconstruction")
+    rows = list(csv.reader(io.StringIO(res.output)))[1:]
+    assert all(float(v) >= 0 for key, v in rows if key.rpartition(".")[2] in measures)
 
 
 @pytest.mark.parametrize("command", ["decompose", "shapley"])

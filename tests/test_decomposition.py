@@ -1,6 +1,7 @@
 """Redundancy lattice, Moebius inversion and subgroup baseline."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ def test_atkinson_decompose_uniform():
 def test_atkinson_decompose_rejects_eps(d_xor, eps):
     with pytest.raises(InvalidMeasure):
         atkinson_decompose(d_xor, ["A", "B"], eps)
+
+
+def test_near_uniform_incomes_decompose_with_no_negative_measure():
+    """tests/near_uniform.csv: 12 incomes of 3 +- 1e-9, whose measures sum
+    terms near f(1) = 0 that rounding could take below zero."""
+    rows = np.loadtxt(Path(__file__).with_name("near_uniform.csv"), delimiter=",", skiprows=1)
+    d = Dataset(rows[:, 0], {a: rows[:, j].astype(int) for j, a in enumerate("ABC", 1)})
+    for attrs in (["A", "B"], ["A", "B", "C"]):
+        results = [atkinson_decompose(d, attrs, eps) for eps in (0.5, 1.0, 2.0)]
+        results += [decompose(d, attrs, MeasureSpec(f)) for f in (theil(), mld(), ge(2.0))]
+        for res in results:
+            assert res.total >= 0 and all(cum >= 0 for _, cum, _ in res.nodes)
+    for attr in "ABC":
+        for c in (0.5, 1.0, 2.0):
+            res = subgroup_decompose(d, attr, c)
+            values = [res.between, res.reconstruction, res.total]
+            assert min(values + [value for *_, value in res.within]) >= 0
 
 
 def test_subgroup_worked_example():

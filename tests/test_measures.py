@@ -20,6 +20,7 @@ from ineqlab import (
     bottom,
     custom,
     ge,
+    grouped_columns,
     inequality,
     mld,
     parse_measure,
@@ -147,6 +148,27 @@ def test_atkinson_zero_income_limits():
 def test_atkinson_of_a_mean_that_rounds_to_zero():
     with pytest.raises(DegeneratePopulation):
         atkinson(Dataset([5e-324, 0, 0]), 0.5)  # a Dataset, with mean 5e-324 / 3 == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-3e-9, 3e-9), st.booleans(), st.booleans()), min_size=2, max_size=40
+    )
+)
+def test_measures_of_near_uniform_incomes_are_not_negative(rows):
+    """Incomes of 3 + e: each measure sums terms near f(1) = 0, with about
+    1e-16 of error each, and no such sum, nor the Atkinson index, is
+    below zero."""
+    errors, a, b = zip(*rows)
+    d = Dataset([3.0 + e for e in errors], {"A": a, "B": b})
+    for f in (theil(), mld(), ge(2.0), ge(0.5), pietra()):
+        spec = MeasureSpec(f)
+        assert inequality(population_matrix(d), spec) >= 0
+        for attrs in (["A"], ["B"], ["A", "B"]):
+            assert inequality(grouped_columns(d, attrs), spec) >= 0
+    for eps in (0.5, 1.0, 2.0):
+        assert atkinson(d, eps) >= 0
 
 
 def test_atkinson_transform_hand_values():

@@ -192,7 +192,7 @@ def test_encoded_column_validation(column, error):
         Dataset([1, 2, 3], {"A": column})
 
 
-def test_encoded_columns_decode_read_only_and_scale_without_encoding(monkeypatch):
+def test_encoded_columns_decode_read_only():
     codes = np.array([1, 0, 1, 2], dtype=np.uint8)
     d = Dataset([1, 2, 3, 4], {"A": Encoded(["x", "y", "z"], codes), "B": ["p", "q", "p", "q"]})
     codes[:] = 0  # the Dataset keeps its own copy
@@ -203,24 +203,26 @@ def test_encoded_columns_decode_read_only_and_scale_without_encoding(monkeypatch
     plain = Dataset([1, 2, 3, 4], {"A": ["y", "x", "y", "z"], "B": ["p", "q", "p", "q"]})
     assert pairs(grouped_columns(d, ["A", "B"])) == pairs(grouped_columns(plain, ["A", "B"]))
 
-    scaled = d.scaled(2.0)
-    # the scaled Dataset shares the encodings, B's made by the grouping above
-    assert list(scaled._encoded) == ["A", "B"]
 
-    def no_encoding():
-        raise AssertionError("encoded again")
-
-    monkeypatch.setattr(population, "_level_encoder", no_encoding)
-    assert pairs(grouped_columns(scaled, ["A"])) == pairs(grouped_columns(plain, ["A"]))
-    assert pairs(grouped_columns(scaled, ["B"])) == pairs(grouped_columns(plain, ["B"]))
+def test_scaled_keeps_the_attributes_as_given():
+    """Integer labels stay ints and an encoded column decodes to the same
+    strings, grouped or not; a scaled Dataset keeps no grouping."""
+    d = Dataset([1, 2, 3], {"A": [10, 9, 10], "B": Encoded(["p", "q"], [1, 0, 0])})
+    for _ in range(2):
+        scaled = d.scaled(2.0)
+        assert scaled.indicators.tolist() == [2.0, 4.0, 6.0] and not scaled._groupings
+        assert scaled.attribute_names == d.attribute_names
+        for name in d.attribute_names:
+            got, want = scaled.attributes[name].tolist(), d.attributes[name].tolist()
+            assert got == want and list(map(type, got)) == list(map(type, want))
+        grouped_columns(d, ["A", "B"])
 
 
 @pytest.mark.parametrize("grouped", [0, 1, 3, 8])
 @pytest.mark.parametrize("k", [2.0, 0.3, 1e-3])
-def test_scaled_checks_nothing_again_and_keeps_the_cells(grouped, k):
-    """`scaled` runs no `_checked_encoding` and hands on the codes of the
-    groupings kept so far, but not their sums and columns; every grouping
-    of it has the bits of a freshly built Dataset's."""
+def test_groupings_of_a_scaled_dataset_have_a_fresh_ones_bits(grouped, k):
+    """Every grouping of `d.scaled(k)`, whatever `d` kept, has the bits of
+    a freshly built Dataset's."""
     rng = np.random.default_rng(grouped)
     n = 60
     values = rng.uniform(0.0, 5.0, n)
@@ -233,18 +235,7 @@ def test_scaled_checks_nothing_again_and_keeps_the_cells(grouped, k):
     subsets = [c for r in range(4) for c in combinations("ABC", r)]
     for subset in subsets[::-1][:grouped]:
         grouped_columns(d, subset)
-    fresh = Dataset(values * k, columns)
-
-    def no_check(*args):
-        raise AssertionError("checked again")
-
-    with mock.patch.object(population, "_checked_encoding", no_check):
-        scaled = d.scaled(k)
-    assert list(scaled._groupings) == list(d._groupings)
-    for attrs, cells in d._groupings.items():
-        passed = scaled._groupings[attrs]
-        assert passed.codes is cells.codes and passed.digits is cells.digits
-        assert passed.counts is cells.counts and passed.sums is passed.columns is None
+    fresh, scaled = Dataset(values * k, columns), d.scaled(k)
     for subset in subsets:
         got, want = _cells(scaled, subset), _cells(fresh, subset)
         assert got.codes.dtype == want.codes.dtype and bits(got.codes) == bits(want.codes)
