@@ -23,7 +23,7 @@ from .population import (
     Dataset,
     _cells,
     _check_distinct,
-    _first_invalid,
+    _column_error,
     grouped_columns,
     population_matrix,
 )
@@ -124,11 +124,11 @@ class DecompositionResult:
         """Two-attribute view: redundant / unique / synergetic components.
 
         Redundant is the bottom cumulative and each unique component is a
-        difference of two monotone cumulatives, so all three are
-        non-negative. Synergy equals I(Z_ab) - I(max(Z_a, Z_b)) and can be
-        negative. It is at least I(join) - I(max), where join is the
-        concave hull of the pointwise max of the two single-attribute
-        chains.
+        difference of two cumulatives, each a node's measure raised to its
+        predecessors' largest, so all three are non-negative. Synergy
+        equals I(Z_ab) - I(max(Z_a, Z_b)) and can be negative. It is at
+        least I(join) - I(max), where join is the concave hull of the
+        pointwise max of the two single-attribute chains.
         """
         return {
             "redundant": self.partial(LatticeNode.of((a,), (b,))),
@@ -155,21 +155,22 @@ def _node_chain(pop: Dataset, sources: tuple[tuple[str, ...], ...], chains: dict
 
 
 def cumulative(node: LatticeNode, pop: Dataset, spec: MeasureSpec) -> float:
-    """Inequality of the meet of the node's source zonogons."""
+    """The node's own measure: the inequality of the meet of its source
+    zonogons. In a decomposition it is raised to its predecessors' largest."""
     return inequality(_node_chain(pop, node.sources, {}).to_columns(), spec)
 
 
 def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=None):
-    """Cumulative per node (through `transform`, if given), then a Moebius
-    pass: each partial is the cumulative minus its strict predecessors'
-    partials.
+    """Cumulative per node (through `transform`, if given) closed upward,
+    then a Moebius pass: each partial is the cumulative minus its strict
+    predecessors' partials.
 
-    Every node's chain is built once (`_node_chain`), and r is taken over
-    all nodes' edges in one pass; a node's cumulative is the sum of its run
-    of that pass, so it has the bits of `inequality` on the node's columns.
-    Errors come in node order, as a node-by-node loop would raise them:
-    each node's run of columns is checked by `population._first_invalid`,
-    and r is taken only over the nodes before the first invalid one.
+    Every node's chain is built once (`_node_chain`), and every node's
+    columns are checked (`population._column_error`) before r is taken over
+    all nodes' edges in one pass. A node's measure, the sum of its run of
+    that pass, has the bits of `cumulative`; the first infinite one in node
+    order raises. Its cumulative is the largest of its measure and its
+    strict predecessors' cumulatives.
     """
     nodes, _, preds = _lattice_cached(tuple(attrs))
     chains: dict = {}
@@ -178,19 +179,20 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
     _node_chain(pop, nodes[-1].sources, chains)
     edges = [_node_chain(pop, node.sources, chains).edges for node in nodes]
     stops = list(accumulate(map(len, edges)))
-    starts = [0, *stops]
     columns = np.concatenate(edges)
     x, y = columns[:, 0], columns[:, 1]
-    first_invalid, error = _first_invalid(x, y, stops)
-    terms = _r(x[: starts[first_invalid]], y[: starts[first_invalid]], spec)
+    error = _column_error(x, y, stops)
+    if error is not None:
+        raise error
+    terms = _r(x, y, spec)
     cumulatives = []
-    for node, a, b in zip(nodes[:first_invalid], starts, stops):
+    for node, a, b, below in zip(nodes, [0, *stops], stops, preds):
         value = _summed(terms[a:b])
         if math.isinf(value):
             raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
-        cumulatives.append(value if transform is None else transform(value))
-    if error is not None:
-        raise error
+        value = value if transform is None else transform(value)
+        # cumulatives are monotone on the lattice: a measure below one is rounding
+        cumulatives.append(max([value, *(cumulatives[j] for j in below)]))
     partials: list[float] = []
     for cum, below in zip(cumulatives, preds):
         partials.append(cum - sum(partials[i] for i in below))
@@ -200,10 +202,11 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
 def decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec) -> DecompositionResult:
     """Full lattice decomposition of the between-group inequality.
 
-    Partials sum to the total. The bottom node's partial is its cumulative,
-    so it is non-negative. A node with exactly one lower cover gamma has
-    partial cum(node) - cum(gamma), non-negative because cumulatives are
-    monotone along the lattice order. Nodes with several lower covers can
+    Partials sum to the total. A node's cumulative is `cumulative(node, ...)`
+    raised to its strict predecessors' largest, so cumulatives are monotone
+    along the lattice order. The bottom partial is its cumulative, so it is
+    non-negative, and so is the partial cum(node) - cum(gamma) of a node with
+    exactly one lower cover gamma. Nodes with several lower covers can
     have negative partials; for two attributes the synergetic partial is
     at least I(join) - I(max) (see `DecompositionResult.named`).
     """
@@ -237,7 +240,7 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
 
     The records are split into groups by one sort, each group's in record
     order. Each group's run of columns is checked by
-    `population._first_invalid`, and r is taken over all groups' columns in
+    `population._column_error`, and r is taken over all groups' columns in
     one pass. A group's indicator sum and within value are sums over its run
     of that pass, so each has the bits of the group's own population matrix
     and `inequality`.
@@ -265,7 +268,7 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     group_sums = np.array([x[a:b].sum() for a, b in runs])
     shares = np.divide(x, np.repeat(group_sums, sizes), out=x)
     weights = np.repeat(1.0 / sizes, sizes)
-    _, error = _first_invalid(weights, shares, stops)
+    error = _column_error(weights, shares, stops)
     if error is not None:
         raise error
     terms = _r(weights, shares, spec)

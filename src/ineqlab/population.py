@@ -8,7 +8,6 @@ anchored at (0,0) and ending at (1,1).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
 from itertools import count
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -214,39 +213,36 @@ class Dataset:
         return cells
 
 
-def _first_invalid(
+def _column_error(
     weights: np.ndarray, shares: np.ndarray, stops: Sequence[int]
-) -> tuple[int, Exception | None]:
-    """The first run of (weight, share) columns, the runs ending at `stops`,
-    that breaks the column rule, as (index, error), or (len(stops), None).
+) -> Exception | None:
+    """The error of the runs of (weight, share) columns ending at `stops`, or None.
 
     The rule: weights and shares are non-negative, a NaN failing, and each
-    sums to one within `_SUM_TOL * max(1, size)`; within a run, negatives
-    are checked before sums.
+    run's weights and shares each sum to one within `_SUM_TOL * max(1, size)`.
+    A negative anywhere is reported before the first run whose sums are off.
     """
-    runs = list(zip([0, *stops], stops))
     valid = weights >= 0
     valid &= shares >= 0  # a NaN fails
-    negative = len(runs) if valid.all() else bisect_right(stops, valid.argmin())
-    for i, (a, b) in enumerate(runs[:negative]):
+    if not valid.all():
+        return NegativeComponent("weights and shares must be non-negative")
+    for a, b in zip([0, *stops], stops):
         tol = _SUM_TOL * max(1, b - a)
         if not (abs(weights[a:b].sum() - 1.0) <= tol and abs(shares[a:b].sum() - 1.0) <= tol):
-            return i, ValueError("weights and shares must each sum to one")
-    if negative < len(runs):
-        return negative, NegativeComponent("weights and shares must be non-negative")
-    return len(runs), None
+            return ValueError("weights and shares must each sum to one")
+    return None
 
 
 class WeightedColumns:
     """Normalized (weight, share) columns that keep the rule of
-    `_first_invalid`; both rows sum to one."""
+    `_column_error`; both rows sum to one."""
 
     def __init__(self, weights, shares):
         w = np.asarray(weights, dtype=float)
         s = np.asarray(shares, dtype=float)
         if w.shape != s.shape or w.ndim != 1:
             raise ValueError("weights and shares must be 1-d arrays of equal length")
-        _, error = _first_invalid(w, s, [w.size])
+        error = _column_error(w, s, [w.size])
         if error is not None:
             raise error
         self.weights = w
@@ -327,7 +323,7 @@ def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:
 
 
 def _ordered_attrs(pop: Dataset, attrs: Iterable[str]) -> tuple[str, ...]:
-    attrs = set(attrs)
+    attrs = list(attrs)  # not a set: the first unknown name as given raises
     for a in attrs:
         if a not in pop.attribute_names:
             raise UnknownAttribute(f"unknown attribute {a!r}")

@@ -83,7 +83,5 @@ def game_synergy(pop: Dataset, a: str, b: str, spec: MeasureSpec) -> float:
     An infinite value raises InfiniteMeasure (`_check_finite`)."""
     if a == b:
         raise ValueError("game_synergy requires two distinct attributes")
-    pair = tuple(x for x in pop.attribute_names if x in (a, b))
-    values = {c: game_value(pop, c, spec) for c in (pair, (a,), (b,))}
-    _check_finite(values)
-    return values[pair] - values[(a,)] - values[(b,)]
+    values = _all_values(pop, [a, b], spec)
+    return values[(a, b)] - values[(a,)] - values[(b,)]

@@ -131,11 +131,7 @@ def meet(z1: Zonogon, z2: Zonogon) -> Zonogon:
     x-coordinates, insert the crossing point wherever the difference changes
     sign between neighbours, then prune collinear points.
     """
-    # the sorted distinct x's np.unique gives, without its numpy.ma import
     xs = np.sort(np.concatenate([z1.vertices[:, 0], z2.vertices[:, 0]]))
-    first = np.ones(len(xs), dtype=bool)
-    first[1:] = xs[1:] != xs[:-1]
-    xs = xs[first]
     y1 = z1.value_at(xs)
     y2 = z2.value_at(xs)
     d = y1 - y2

@@ -188,6 +188,30 @@ def test_near_uniform_incomes_decompose_with_no_negative_measure():
             assert min(values + [value for *_, value in res.within]) >= 0
 
 
+def test_guaranteed_partials_are_non_negative_in_floats():
+    """Seeded 2- and 3-attribute Datasets, half with near-uniform incomes
+    (3 +- 1e-9): under every measure no partial at a node with at most one
+    lower cover is below 0.0, and no lower cover has a larger cumulative."""
+    specs = [MeasureSpec(f) for f in (theil(), mld(), ge(2.0))] + [MeasureSpec(ge(0.5), 0.25)]
+    rng = np.random.default_rng(21)
+    for k in range(80):
+        n_attrs = 2 + k % 2
+        n = int(rng.integers(20, 200))
+        attrs = {
+            name: rng.integers(0, int(rng.integers(2, 6)), n).astype(str)
+            for name in "ABC"[:n_attrs]
+        }
+        incomes = 3 + rng.uniform(-1e-9, 1e-9, n) if k % 4 < 2 else rng.lognormal(0, 1, n)
+        d = Dataset(incomes, attrs)
+        nodes, covers = redundancy_lattice(d.attribute_names)
+        single = {node for node in nodes if sum(b == node for _, b in covers) <= 1}
+        for spec in specs:
+            res = decompose(d, d.attribute_names, spec)
+            cum = {node: c for node, c, _ in res.nodes}
+            assert all(part >= 0.0 for node, _, part in res.nodes if node in single)
+            assert all(cum[a] <= cum[b] for a, b in covers)
+
+
 def test_subgroup_worked_example():
     d = Dataset([1, 3, 2, 6], {"region": ["r1", "r1", "r2", "r2"]}, ["region"])
     res = subgroup_decompose(d, "region", 1.0)
@@ -236,8 +260,9 @@ def test_decompose_scale_invariance(rng):
 # -- the one-pass lattice against the node-by-node loop ---------------------------
 
 # The node-by-node loop `decompose` ran before it evaluated the lattice in one
-# pass, kept verbatim as the oracle: `meet_all` per node, `inequality` of
-# each node's columns, then the Moebius pass.
+# pass, kept as the oracle: `meet_all` per node, every node's columns built
+# (and so checked) before any is measured, `inequality` of each node's
+# columns closed upward, then the Moebius pass.
 
 
 def _source_zonogon(pop, source, cache):
@@ -254,12 +279,14 @@ def _oracle_decompose(pop, attrs, spec, transform=None):
     nodes, _, preds = _lattice_cached(tuple(attrs))
     cache: dict = {}
     _source_zonogon(pop, nodes[-1].sources[0], cache)
+    columns = [_node_zonogon(pop, node, cache).to_columns() for node in nodes]
     cumulatives = []
-    for node in nodes:
-        value = inequality(_node_zonogon(pop, node, cache).to_columns(), spec)
+    for node, cols, below in zip(nodes, columns, preds):
+        value = inequality(cols, spec)
         if math.isinf(value):
             raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
-        cumulatives.append(value if transform is None else transform(value))
+        value = value if transform is None else transform(value)
+        cumulatives.append(max([value, *(cumulatives[j] for j in below)]))
     partials: list[float] = []
     for cum, below in zip(cumulatives, preds):
         partials.append(cum - sum(partials[i] for i in below))
@@ -353,11 +380,15 @@ def test_each_meet_is_made_once(monkeypatch, rng, k, meets):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_cumulative_is_the_decomposition_cumulative(rng, k):
+    """A decomposition's cumulative is the node's own measure raised to its
+    strict predecessors' largest cumulative, bit for bit."""
     for _ in range(10):
         d = random_dataset(rng, n_attrs=k, max_n=60, max_cats=3)
         result = decompose(d, d.attribute_names, SPEC)
-        for node, cum, _ in result.nodes:
-            assert cumulative(node, d, SPEC) == cum
+        cums = [cum for _, cum, _ in result.nodes]
+        preds = _lattice_cached(tuple(d.attribute_names))[2]
+        for (node, cum, _), below in zip(result.nodes, preds):
+            assert cum == max([cumulative(node, d, SPEC), *(cums[j] for j in below)])
 
 
 def _chain(edges):
@@ -374,24 +405,33 @@ NEGATIVE_OFF_SUM = [[0.5, 1.2], [0.5, -0.1]]
 NEAR_SUM = [[0.5, 0.8], [0.5, 0.2 + 1.5e-12]]  # within 1e-12 per column of one
 
 
+NEGATIVE_ERROR = (NegativeComponent, "weights and shares must be non-negative")
+OFF_SUM_ERROR = (ValueError, "weights and shares must each sum to one")
+JOINT_INFINITE = (InfiniteMeasure, "cumulative value of node [[A,B]] is infinite")
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, error",
     [
-        pytest.param({1: NEGATIVE, 3: INFINITE}, id="negative-then-infinite"),
-        pytest.param({1: INFINITE, 3: NEGATIVE}, id="infinite-then-negative"),
-        pytest.param({1: INFINITE, 2: OFF_SUM}, id="infinite-then-off-sum"),
-        pytest.param({0: OFF_SUM, 1: NEGATIVE}, id="off-sum-then-negative"),
-        pytest.param({1: OFF_SUM, 2: NEGATIVE}, id="off-sum-then-negative-later"),
-        pytest.param({2: NEGATIVE_OFF_SUM}, id="negative-and-off-sum"),
-        pytest.param({1: NAN, 2: OFF_SUM}, id="nan-then-off-sum"),
-        pytest.param({3: INFINITE}, id="infinite-joint"),
-        pytest.param({1: NEAR_SUM, 3: INFINITE}, id="near-sum-then-infinite"),
+        pytest.param({1: NEGATIVE, 3: INFINITE}, NEGATIVE_ERROR, id="negative-then-infinite"),
+        pytest.param({1: INFINITE, 3: NEGATIVE}, NEGATIVE_ERROR, id="infinite-then-negative"),
+        pytest.param({1: INFINITE, 2: OFF_SUM}, OFF_SUM_ERROR, id="infinite-then-off-sum"),
+        pytest.param({0: OFF_SUM, 1: NEGATIVE}, NEGATIVE_ERROR, id="off-sum-then-negative"),
+        pytest.param(
+            {1: OFF_SUM, 2: NEGATIVE}, NEGATIVE_ERROR, id="off-sum-then-negative-later"
+        ),
+        pytest.param({2: NEGATIVE_OFF_SUM}, NEGATIVE_ERROR, id="negative-and-off-sum"),
+        pytest.param({1: NAN, 2: OFF_SUM}, NEGATIVE_ERROR, id="nan-then-off-sum"),
+        pytest.param({3: INFINITE}, JOINT_INFINITE, id="infinite-joint"),
+        pytest.param({1: NEAR_SUM, 3: INFINITE}, JOINT_INFINITE, id="near-sum-then-infinite"),
     ],
 )
 @pytest.mark.parametrize("atkinson_route", [False, True])
-def test_errors_come_in_node_order(monkeypatch, bad, atkinson_route):
-    """The first node whose columns fail a check or whose cumulative is
-    infinite raises, as in the node-by-node loop."""
+def test_errors_come_in_node_order(monkeypatch, bad, error, atkinson_route):
+    """Every node's columns are checked before any is measured: a negative
+    or NaN at any node raises NegativeComponent, else the first node whose
+    sums are off raises the ValueError, else the first infinite cumulative
+    in node order raises InfiniteMeasure."""
     d = Dataset([1.0, 2.0], {"A": ["a", "b"], "B": ["x", "y"]})
     nodes = redundancy_lattice(["A", "B"])[0]
     chains = {n.sources: _chain(bad.get(i, GOOD)) for i, n in enumerate(nodes)}
@@ -400,13 +440,4 @@ def test_errors_come_in_node_order(monkeypatch, bad, atkinson_route):
         got = _outcome(lambda: atkinson_decompose(d, ["A", "B"], 1.0))
     else:
         got = _outcome(lambda: decompose(d, ["A", "B"], MeasureSpec(mld())))
-    for i, node in enumerate(nodes):
-        try:
-            columns = chains[node.sources].to_columns()
-        except (NegativeComponent, ValueError) as exc:
-            assert got == (type(exc), str(exc))
-            return
-        if math.isinf(inequality(columns, MeasureSpec(mld()))):
-            assert got == (InfiniteMeasure, f"cumulative value of node {node} is infinite")
-            return
-    raise AssertionError("every case has an invalid node")
+    assert got == error

@@ -112,6 +112,17 @@ def test_group_by_unknown_attribute(d_xor):
         group_by(d_xor, {"C"})
 
 
+@pytest.mark.parametrize("names", [["X", "Y"], ["Y", "X"]])
+def test_the_first_unknown_attribute_given_is_named(d_xor, names):
+    """Names are checked in the order given, whatever the hash seed; known
+    ones come back in the Dataset's order."""
+    with pytest.raises(UnknownAttribute, match=f"unknown attribute '{names[0]}'$"):
+        _ordered_attrs(d_xor, names)
+    with pytest.raises(UnknownAttribute, match=f"unknown attribute '{names[0]}'$"):
+        _ordered_attrs(d_xor, ["B", *names, "A"])
+    assert _ordered_attrs(d_xor, ["B", "A"]) == ("A", "B")
+
+
 def test_dataset_rejects_repeated_attribute_names():
     # else every grouping would read A twice, with keys like ('x', 'x')
     with pytest.raises(UnknownAttribute, match="attribute 'A' is repeated"):
