@@ -27,7 +27,6 @@ from .measures import (
 )
 from .population import (
     Dataset,
-    Encoded,
     WeightedColumns,
     bottom,
     group_by,

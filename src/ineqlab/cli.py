@@ -64,11 +64,12 @@ def ingest(path: str, value_col: str, attrs: Sequence[str]) -> Dataset:
     """Read a UTF-8 CSV with a header row into a Dataset.
 
     Of the columns other than the value column, those named in `attrs`
-    become attributes, given as `Encoded` level codes; every other column
-    is checked as they are, but not kept. A name that is not a column is
-    left for the library to reject as an unknown attribute. The file is
-    read once, by `_read_csv`. A UTF-8 byte order mark is skipped; a byte
-    that is not UTF-8 is reported by its offset in the file and its line.
+    become attributes, handed to `Dataset` as `_Encoded` level codes, which
+    only the CLI and `Dataset.scaled` give; every other column is checked as
+    they are, but not kept. A name that is not a column is left for the
+    library to reject as an unknown attribute. The file is read once, by
+    `_read_csv`. A UTF-8 byte order mark is skipped; a byte that is not
+    UTF-8 is reported by its offset in the file and its line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -133,16 +134,17 @@ _BLOCK_CHARS = 1 << 16
 
 
 def _read_csv(fh, value_col: str, attrs=None):
-    """Values, `Encoded` attribute columns and names of a CSV.
+    """Values, attribute columns and names of a CSV, for `ingest`.
 
     The attributes are the columns named in `attrs`, in the header's order,
     or with None every column but the value column. The header is read with
     `csv.reader`, then blocks of whole lines: a block that `_split_block`
     takes is split on commas, and any other is read by `_read_rows`, which
     reads on into the file only for a quoted field that spans the block's
-    end. Each block's labels of the attributes become level codes at once;
-    the other columns are checked and dropped. Raises the header's or first
-    invalid row's error.
+    end. Each block's labels of the attributes become level codes at once,
+    sorted at the end into an `_Encoded` column (only this and
+    `Dataset.scaled` give one); the other columns are checked and dropped.
+    Raises the header's or first invalid row's error.
     """
     reader = csv.reader(fh)
     try:

@@ -236,7 +236,8 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     """Classical GE_c between/within decomposition for one attribute.
 
     Within-group weights are pshare^(1-c) * ishare^c; the reconstruction
-    between + sum(w_g * within_g) equals the total GE_c.
+    between + sum(w_g * within_g) equals the total GE_c. A zero-income group
+    weighs 0 for c > 0, its population share at c = 0 and `inf` for c < 0.
 
     The records are split into groups by one sort, each group's in record
     order. Each group's run of columns is checked by
@@ -252,7 +253,7 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     total = inequality(population_matrix(pop), spec)
     # a zero-income group is internally uniform at zero: its value is 0, so
     # it adds nothing to the reconstruction (inf * 0 would make it NaN when
-    # c <= 0); only the other groups' records are measured
+    # c < 0); only the other groups' records are measured
     live = cols.shares > 0
     order = cells.order()
     if not live.all():
@@ -277,7 +278,7 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     recon = between
     for key, pshare, ishare in zip(cells.keys(), cols.weights, cols.shares):
         if ishare == 0:
-            within.append((key, 0.0 if c > 0 else math.inf, 0.0))
+            within.append((key, math.inf if c < 0 else pshare ** (1.0 - c) * ishare**c, 0.0))
             continue
         weight = pshare ** (1.0 - c) * ishare**c
         value = next(values)

@@ -30,12 +30,11 @@ _SUM_TOL = 1e-12
 _KEPT_GROUPINGS = 2**3 - 1
 
 
-class Encoded(NamedTuple):
-    """An attribute column given by its levels, strictly increasing
-    strings, and each record's level code, an integer in
-    range(len(levels))."""
+class _Encoded(NamedTuple):
+    """An attribute column as `_sorted_encoding` makes it: strictly
+    increasing level strings and each record's read-only level code."""
 
-    levels: Sequence[str]
+    levels: list[str]
     codes: np.ndarray
 
 
@@ -45,33 +44,17 @@ def _level_encoder() -> defaultdict:
     return defaultdict(count().__next__)
 
 
-def _sorted_encoding(code_of: Mapping[str, int], codes: np.ndarray) -> Encoded:
+def _sorted_encoding(code_of: Mapping[str, int], codes: np.ndarray) -> _Encoded:
     """The labels of a `_level_encoder` as sorted levels, and its codes
-    remapped to them, in the smallest unsigned dtype that holds the level
-    count."""
+    remapped to them, read-only, in the smallest unsigned dtype that holds
+    the level count."""
     seen = list(code_of)
     order = sorted(range(len(seen)), key=seen.__getitem__)
     rank = np.empty(len(seen), dtype=np.min_scalar_type(len(seen)))
     rank[order] = np.arange(len(seen))
-    return Encoded([seen[i] for i in order], rank[codes])
-
-
-def _checked_encoding(name: str, column: Encoded, n: int) -> Encoded:
-    """A column given encoded, for `n` records, checked: its levels as a
-    list and an own read-only copy of its codes."""
-    levels = list(column.levels)
-    codes = np.asarray(column.codes)
-    if codes.shape != (n,):
-        raise UnknownAttribute(f"attribute {name!r} has {codes.size} values for {n} records")
-    if not all(isinstance(level, str) for level in levels) or any(
-        a >= b for a, b in zip(levels, levels[1:])
-    ):
-        raise ValueError(f"levels of attribute {name!r} must be strictly increasing strings")
-    if codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(levels):
-        raise ValueError(f"codes of attribute {name!r} must be integers in range({len(levels)})")
-    codes = codes.astype(np.min_scalar_type(len(levels)))
+    codes = rank[codes]
     codes.flags.writeable = False
-    return Encoded(levels, codes)
+    return _Encoded([seen[i] for i in order], codes)
 
 
 class Dataset:
@@ -80,11 +63,11 @@ class Dataset:
     Invariants: non-empty, all indicators finite and non-negative, at least
     one indicator strictly positive, every record carries the same attributes.
     The indicators are kept as a read-only copy, and so is an attribute
-    column given as values, encoded on first grouping; an `Encoded` column
-    is kept as its levels and a read-only copy of its codes and decoded on
-    first access to `attributes`. A Dataset keeps its encodings and up to
-    `_KEPT_GROUPINGS` read-only cell tables (`_Cells`), each of codes,
-    indicator sums and checked between-group columns, all made at once.
+    column given as values, encoded on first grouping. An `_Encoded` column,
+    which only the CLI's `ingest` and `scaled` give, is kept as given and
+    decoded on first access to `attributes`. A Dataset keeps its encodings
+    and up to `_KEPT_GROUPINGS` read-only cell tables (`_Cells`), each of
+    codes, indicator sums and checked between-group columns, all made at once.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -99,10 +82,10 @@ class Dataset:
             raise DegeneratePopulation("all indicator values are zero")
         attributes = {} if attributes is None else dict(attributes)
         columns: dict[str, np.ndarray] = {}
-        encoded: dict[str, Encoded] = {}
+        encoded: dict[str, _Encoded] = {}
         for name, col in attributes.items():
-            if isinstance(col, Encoded):
-                encoded[name] = _checked_encoding(name, col, ind.size)
+            if isinstance(col, _Encoded):
+                encoded[name] = col
                 continue
             # an own read-only copy, so the cached codes cannot go stale
             col = np.array(col, dtype=object)
@@ -156,11 +139,11 @@ class Dataset:
 
     def scaled(self, k: float) -> "Dataset":
         """A new Dataset of every indicator times `k`, with no kept grouping and
-        each attribute column passed on as it was given: values or `Encoded`."""
+        each attribute column passed on as it was given: values or `_Encoded`."""
         attributes = {**self._encoded, **self._columns}
         return Dataset(self.indicators * k, attributes, self.attribute_names)
 
-    def _encode(self, attr: str) -> Encoded:
+    def _encode(self, attr: str) -> _Encoded:
         """Sorted levels of an attribute, the `str` of each distinct label,
         and each record's level code.
 
@@ -324,6 +307,7 @@ def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:
 
 def _ordered_attrs(pop: Dataset, attrs: Iterable[str]) -> tuple[str, ...]:
     attrs = list(attrs)  # not a set: the first unknown name as given raises
+    _check_distinct(attrs)
     for a in attrs:
         if a not in pop.attribute_names:
             raise UnknownAttribute(f"unknown attribute {a!r}")

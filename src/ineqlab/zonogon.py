@@ -29,15 +29,11 @@ class OrderRelation(enum.Enum):
 
 
 class Zonogon:
-    """Concave upper chain from (0,0) to (1,1)."""
+    """Concave upper chain from (0,0) to (1,1), with its edge vectors."""
 
-    def __init__(self, vertices: np.ndarray, generators: np.ndarray | None = None):
+    def __init__(self, vertices: np.ndarray, generators: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=float)
-        # the exact edge vectors, when known; vertex differencing can turn an
-        # exact zero share into a 1-ulp residue, which flips measures like
-        # MLD from infinite to large-but-finite
-        edges = np.diff(self.vertices, axis=0) if generators is None else generators
-        self.edges = np.asarray(edges, dtype=float)
+        self.edges = np.asarray(generators, dtype=float)
 
     def to_columns(self) -> WeightedColumns:
         e = self.edges

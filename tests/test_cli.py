@@ -198,7 +198,9 @@ def test_subgroup_zero_income_group_mld_is_infinite(runner, tmp_path):
     payload = json.loads(res.output, parse_constant=reject)
     validate(payload, schema("subgroup"))
     assert payload["reconstruction"] == payload["total"] == "inf"
-    assert payload["within"][0] == {"group": "r1", "weight": "inf", "value": 0.0}
+    # MLD's within weights are population shares, 0^0 = 1 for a zero-income group
+    assert payload["within"][0] == {"group": "r1", "weight": 0.5, "value": 0.0}
+    assert payload["within"][1]["weight"] == 0.5
 
 
 def test_subgroup_zero_income_group_mld_is_infinite_in_csv(runner, tmp_path):
@@ -210,8 +212,8 @@ def test_subgroup_zero_income_group_mld_is_infinite_in_csv(runner, tmp_path):
          "--measure", "mld", "--format", "csv"],
     )
     assert res.exit_code == 0
-    lines = res.output.splitlines()
-    assert {"reconstruction,inf", "total,inf", "within.0.weight,inf"} <= set(lines)
+    want = {"reconstruction,inf", "total,inf", "within.0.weight,0.5", "within.1.weight,0.5"}
+    assert want <= set(res.output.splitlines())
 
 
 def test_ingest_negative_value_exit_2(runner, tmp_path):
@@ -425,10 +427,11 @@ def test_near_uniform_incomes_give_no_negative_measure(runner, args):
     assert all(float(v) >= 0 for key, v in rows if key.rpartition(".")[2] in measures)
 
 
-@pytest.mark.parametrize("command", ["decompose", "shapley"])
+@pytest.mark.parametrize("command", ["decompose", "shapley", "lorenz"])
 def test_repeated_attribute_exit_2(runner, xor_file, command):
+    option = "--group-by" if command == "lorenz" else "--attrs"
     res = runner.invoke(
-        main, [command, "-i", xor_file, "--value-col", "income", "--attrs", "region,region"]
+        main, [command, "-i", xor_file, "--value-col", "income", option, "region,region"]
     )
     assert res.exit_code == 2
     assert "'region' is repeated" in res.output
@@ -869,7 +872,8 @@ def _read(reader, text, value_col="v"):
 def _same_reading(reading, rows):
     """The block reader's reading has the row reader's values, bit for bit,
     and names, and per attribute the levels and codes that a Dataset gives
-    the row reader's labels; or both raised the same message."""
+    the row reader's labels, as a list of strictly increasing strings and
+    read-only codes; or both raised the same message."""
     if isinstance(reading, str) or isinstance(rows, str):
         return reading == rows
     (vc, encoded, nc), (vr, attrs, nr) = reading, rows
@@ -879,6 +883,10 @@ def _same_reading(reading, rows):
         return False
     for name in nr:
         levels, codes = encoded[name]
+        if type(levels) is not list or not all(isinstance(level, str) for level in levels):
+            return False
+        if any(a >= b for a, b in zip(levels, levels[1:])) or codes.flags.writeable:
+            return False
         if vr:
             expected = Dataset(np.ones(len(vr)), {name: attrs[name]})._encode(name)
         else:

@@ -85,8 +85,9 @@ def test_order_pigou_dalton_transfer():
 
 
 def test_order_incomparable_crossing_chains():
-    z1 = Zonogon(np.array([[0, 0], [0.2, 0.6], [1, 1]], dtype=float))
-    z2 = Zonogon(np.array([[0, 0], [0.6, 0.9], [1, 1]], dtype=float))
+    v1 = np.array([[0, 0], [0.2, 0.6], [1, 1]], dtype=float)
+    v2 = np.array([[0, 0], [0.6, 0.9], [1, 1]], dtype=float)
+    z1, z2 = Zonogon(v1, np.diff(v1, axis=0)), Zonogon(v2, np.diff(v2, axis=0))
     assert order(z1, z2) is OrderRelation.INCOMPARABLE
 
 
@@ -132,8 +133,9 @@ def test_meet_idempotent_and_bottom(rng):
 
 
 def test_meet_crossing_example():
-    z1 = Zonogon(np.array([[0, 0], [0.2, 0.6], [1, 1]], dtype=float))
-    z2 = Zonogon(np.array([[0, 0], [0.6, 0.9], [1, 1]], dtype=float))
+    v1 = np.array([[0, 0], [0.2, 0.6], [1, 1]], dtype=float)
+    v2 = np.array([[0, 0], [0.6, 0.9], [1, 1]], dtype=float)
+    z1, z2 = Zonogon(v1, np.diff(v1, axis=0)), Zonogon(v2, np.diff(v2, axis=0))
     m = meet(z1, z2)
     np.testing.assert_allclose(m.vertices, [[0, 0], [0.5, 0.75], [1, 1]], atol=1e-12)
 
