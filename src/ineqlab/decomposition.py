@@ -17,17 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfiniteMeasure, TooManyAttributes
-from .measures import MeasureSpec, _check_eps, _r, _summed, atkinson_transform, ge, inequality
-from .population import (
-    Dataset,
-    _cells,
-    _check_distinct,
-    _column_error,
-    grouped_columns,
-    population_matrix,
-)
-from .zonogon import Zonogon, canonical_chain, meet_all
+from .errors import InfiniteMeasure, TooManyAttributes, UnknownAttribute
+from .measures import MeasureSpec, _check_eps, _run_measures, atkinson_transform, ge, inequality
+from .population import Dataset, _cells, _check_distinct, grouped_columns, population_matrix
+from .zonogon import canonical_chain, meet_all
 
 MAX_ATTRIBUTES = 3
 
@@ -128,8 +121,11 @@ class DecompositionResult:
         predecessors' largest, so all three are non-negative. Synergy
         equals I(Z_ab) - I(max(Z_a, Z_b)) and can be negative. It is at
         least I(join) - I(max), where join is the concave hull of the
-        pointwise max of the two single-attribute chains.
+        pointwise max of the two single-attribute chains. Another lattice
+        than that of a and b (in either order) raises UnknownAttribute.
         """
+        if self.nodes[-1][0] != LatticeNode.of((a, b)):
+            raise UnknownAttribute(f"the result is not the lattice of {a!r} and {b!r}")
         return {
             "redundant": self.partial(LatticeNode.of((a,), (b,))),
             f"unique_{a}": self.partial(LatticeNode.of((a,))),
@@ -138,26 +134,11 @@ class DecompositionResult:
         }
 
 
-def _node_chain(pop: Dataset, sources: tuple[tuple[str, ...], ...], chains: dict) -> Zonogon:
-    """The meet of the sources' chains, kept in `chains` by the source tuple.
-
-    A node of several sources is the meet of the chain of all its sources
-    but the last with the last one's chain: the left fold of `meet_all`, so
-    each vertex has the same bits, and a meet shared by nodes is made once.
-    """
-    if sources not in chains:
-        if len(sources) == 1:
-            chains[sources] = canonical_chain(grouped_columns(pop, sources[0]))
-        else:
-            head = _node_chain(pop, sources[:-1], chains)
-            chains[sources] = meet_all([head, _node_chain(pop, sources[-1:], chains)])
-    return chains[sources]
-
-
 def cumulative(node: LatticeNode, pop: Dataset, spec: MeasureSpec) -> float:
     """The node's own measure: the inequality of the meet of its source
     zonogons. In a decomposition it is raised to its predecessors' largest."""
-    return inequality(_node_chain(pop, node.sources, {}).to_columns(), spec)
+    chains = [canonical_chain(grouped_columns(pop, s)) for s in node.sources]
+    return inequality(meet_all(chains).to_columns(), spec)
 
 
 def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=None):
@@ -165,29 +146,27 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
     then a Moebius pass: each partial is the cumulative minus its strict
     predecessors' partials.
 
-    Every node's chain is built once (`_node_chain`), and every node's
-    columns are checked (`population._column_error`) before r is taken over
-    all nodes' edges in one pass. A node's measure, the sum of its run of
-    that pass, has the bits of `cumulative`; the first infinite one in node
-    order raises. Its cumulative is the largest of its measure and its
-    strict predecessors' cumulatives.
+    Chains are built from the joint node down, so the Dataset sorts the
+    records once. A node of several sources meets the chains of two nodes
+    above it, built already: its sources but the last, and the last (the
+    fold of `meet_all`, so `cumulative` has the same bits). The first
+    infinite measure in node order raises. A node's cumulative is the
+    largest of its measure and its strict predecessors' cumulatives.
     """
     nodes, _, preds = _lattice_cached(tuple(attrs))
-    chains: dict = {}
-    # the joint source (the last node's) first, so the Dataset sorts the
-    # records once and projects every other source's grouping from it
-    _node_chain(pop, nodes[-1].sources, chains)
-    edges = [_node_chain(pop, node.sources, chains).edges for node in nodes]
-    stops = list(accumulate(map(len, edges)))
-    columns = np.concatenate(edges)
-    x, y = columns[:, 0], columns[:, 1]
-    error = _column_error(x, y, stops)
-    if error is not None:
-        raise error
-    terms = _r(x, y, spec)
+    position = {node.sources: i for i, node in enumerate(nodes)}
+    chains: list = [None] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        s = nodes[i].sources
+        if len(s) == 1:
+            chains[i] = canonical_chain(grouped_columns(pop, s[0]))
+        else:
+            chains[i] = meet_all([chains[position[s[:-1]]], chains[position[s[-1:]]]])
+    stops = list(accumulate(len(chain.edges) for chain in chains))
+    columns = np.concatenate([chain.edges for chain in chains])
+    measures = _run_measures(columns[:, 0], columns[:, 1], stops, spec)
     cumulatives = []
-    for node, a, b, below in zip(nodes, [0, *stops], stops, preds):
-        value = _summed(terms[a:b])
+    for node, value, below in zip(nodes, measures, preds):
         if math.isinf(value):
             raise InfiniteMeasure(f"cumulative value of node {node} is infinite")
         value = value if transform is None else transform(value)
@@ -240,11 +219,10 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     weighs 0 for c > 0, its population share at c = 0 and `inf` for c < 0.
 
     The records are split into groups by one sort, each group's in record
-    order. Each group's run of columns is checked by
-    `population._column_error`, and r is taken over all groups' columns in
-    one pass. A group's indicator sum and within value are sums over its run
-    of that pass, so each has the bits of the group's own population matrix
-    and `inequality`.
+    order, and `measures._run_measures` checks and measures every group's
+    run of columns at once. A group's indicator sum and within value are
+    sums over its run, so each has the bits of the group's own population
+    matrix and `inequality`.
     """
     spec = MeasureSpec(ge(c))
     cells = _cells(pop, [attr])
@@ -260,28 +238,21 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
         order = order[np.repeat(live, cells.counts)]
     sizes = cells.counts[live]
     stops = np.cumsum(sizes).tolist()
-    runs = list(zip([0, *stops], stops))
     # the parent Dataset's indicators are finite and non-negative, and a
     # live group has a positive sum, so each group's columns are those of a
     # valid population; what remains is the column rule
     x = pop.indicators[order]
     del order
-    group_sums = np.array([x[a:b].sum() for a, b in runs])
+    group_sums = np.array([x[a:b].sum() for a, b in zip([0, *stops], stops)])
     shares = np.divide(x, np.repeat(group_sums, sizes), out=x)
-    weights = np.repeat(1.0 / sizes, sizes)
-    error = _column_error(weights, shares, stops)
-    if error is not None:
-        raise error
-    terms = _r(weights, shares, spec)
-    values = iter([_summed(terms[a:b]) for a, b in runs])
+    values = iter(_run_measures(np.repeat(1.0 / sizes, sizes), shares, stops, spec))
     within = []
     recon = between
     for key, pshare, ishare in zip(cells.keys(), cols.weights, cols.shares):
-        if ishare == 0:
-            within.append((key, math.inf if c < 0 else pshare ** (1.0 - c) * ishare**c, 0.0))
-            continue
-        weight = pshare ** (1.0 - c) * ishare**c
-        value = next(values)
+        weight = math.inf if ishare == 0 and c < 0 else pshare ** (1.0 - c) * ishare**c
+        value = 0.0
+        if ishare > 0:
+            value = next(values)
+            recon += weight * value
         within.append((key, weight, value))
-        recon += weight * value
     return SubgroupResult(between, tuple(within), recon, total)

@@ -10,7 +10,8 @@ class EmptyPopulation(IneqError):
 
 
 class DegeneratePopulation(IneqError):
-    """All indicator values are zero; shares are undefined."""
+    """All indicator values are zero, or their sum is past the largest
+    float; either way shares are undefined."""
 
 
 class UnknownAttribute(IneqError):

@@ -21,7 +21,7 @@ from .errors import (
     NegativeComponent,
     TransformDomainError,
 )
-from .population import Dataset, WeightedColumns
+from .population import Dataset, WeightedColumns, _column_error
 
 _C_SINGULAR_TOL = 1e-9
 # how much a sampled limit of a custom generator may still grow
@@ -68,15 +68,18 @@ def ge(c: float) -> Generator:
     """Generalized Entropy generator (t^(1-c) - t)/(c(c-1)).
 
     Values of c within 1e-9 of 0 or 1 dispatch to MLD/Theil, whose
-    generators are the limits at the singularities. c must be finite.
+    generators are the limits at the singularities. c must be finite, and
+    so must c(c-1): |c| is at most about 1.34e154.
     """
     if not math.isfinite(c):
         raise InvalidMeasure(f"GE parameter must be finite, got {c}")
+    denom = c * (c - 1)
+    if not math.isfinite(denom):
+        raise InvalidMeasure(f"GE parameter must have a finite c(c-1), got {c}")
     if abs(c) < _C_SINGULAR_TOL:
         return mld()
     if abs(c - 1) < _C_SINGULAR_TOL:
         return theil()
-    denom = c * (c - 1)
     at_zero = math.inf if c > 1 else 0.0
     tail = -1.0 / denom if c > 0 else math.inf
     return Generator(
@@ -200,6 +203,20 @@ def inequality(cols: WeightedColumns, spec: MeasureSpec) -> float:
     return _summed(_r(cols.weights, cols.shares, spec))
 
 
+def _run_measures(x: np.ndarray, y: np.ndarray, stops, spec: MeasureSpec) -> list[float]:
+    """The measure of each run of columns (x, y) ending at `stops`.
+
+    Every run is checked by `population._column_error` before any is
+    measured, and r is taken over all columns in one pass; a run's measure
+    is the sum of its slice, with the bits of `inequality` on its columns.
+    """
+    error = _column_error(x, y, stops)
+    if error is not None:
+        raise error
+    terms = _r(x, y, spec)
+    return [_summed(terms[a:b]) for a, b in zip([0, *stops], stops)]
+
+
 def _check_eps(eps: float) -> None:
     """Reject an Atkinson parameter that is not finite and positive."""
     if not math.isfinite(eps):
@@ -209,25 +226,25 @@ def _check_eps(eps: float) -> None:
 
 
 def atkinson(pop: Dataset, eps: float) -> float:
-    """Atkinson index 1 - (generalized mean of order 1-eps)/mean, at least 0."""
+    """Atkinson index 1 - (generalized mean of order 1-eps)/mean, at least 0.
+
+    Scale-free at any magnitude: with q = 1-eps, each (s/ref)^q lies in
+    [0, 1], ref the largest indicator for q > 0 and the smallest for q < 0.
+    """
     _check_eps(eps)
     s = pop.indicators
     mean = pop.mean
     if mean <= 0:
         raise DegeneratePopulation("population mean is zero")
-    if eps == 1:
-        if np.any(s == 0):
-            return 1.0
-        gm = math.exp(float(np.log(s).mean()))
-        return max(1.0 - gm / mean, 0.0)
     q = 1.0 - eps
-    with np.errstate(divide="ignore"):
-        powered = np.where(s > 0, s, np.nan) ** q
-        powered = np.where(s > 0, powered, 0.0 if q > 0 else math.inf)
-    m = float(powered.mean())
-    if math.isinf(m):
-        return 1.0  # eps > 1 with a zero indicator: generalized mean is 0
-    return max(1.0 - m ** (1.0 / q) / mean, 0.0)
+    ref = s.max() if q > 0 else s.min()
+    if ref == 0:
+        return 1.0  # eps >= 1 with a zero indicator: the generalized mean is 0
+    if eps == 1:
+        return max(1.0 - math.exp(float(np.log(s).mean()) - math.log(mean)), 0.0)
+    ratios = np.divide(s, ref) if q > 0 else np.divide(ref, s)
+    m = float(np.power(ratios, abs(q), out=ratios).mean())
+    return max(1.0 - ref / mean * m ** (1.0 / q), 0.0)
 
 
 def atkinson_transform(x: float, eps: float) -> float:

@@ -60,8 +60,9 @@ def _sorted_encoding(code_of: Mapping[str, int], codes: np.ndarray) -> _Encoded:
 class Dataset:
     """Column-oriented store of records.
 
-    Invariants: non-empty, all indicators finite and non-negative, at least
-    one indicator strictly positive, every record carries the same attributes.
+    Invariants: non-empty, all indicators finite and non-negative with a
+    finite sum (one past the largest float is an input error), at least one
+    indicator strictly positive, every record carries the same attributes.
     The indicators are kept as a read-only copy, and so is an attribute
     column given as values, encoded on first grouping. An `_Encoded` column,
     which only the CLI's `ingest` and `scaled` give, is kept as given and
@@ -80,6 +81,9 @@ class Dataset:
             raise NegativeComponent("indicator values must be non-negative")
         if not np.any(ind > 0):
             raise DegeneratePopulation("all indicator values are zero")
+        with np.errstate(over="ignore"):
+            if np.isinf(ind.sum()):
+                raise DegeneratePopulation("indicator values sum past the largest float")
         attributes = {} if attributes is None else dict(attributes)
         columns: dict[str, np.ndarray] = {}
         encoded: dict[str, _Encoded] = {}

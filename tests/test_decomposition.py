@@ -16,6 +16,7 @@ from ineqlab import (
     MeasureSpec,
     NegativeComponent,
     TooManyAttributes,
+    UnknownAttribute,
     Zonogon,
     atkinson,
     atkinson_decompose,
@@ -435,9 +436,26 @@ def test_errors_come_in_node_order(monkeypatch, bad, error, atkinson_route):
     d = Dataset([1.0, 2.0], {"A": ["a", "b"], "B": ["x", "y"]})
     nodes = redundancy_lattice(["A", "B"])[0]
     chains = {n.sources: _chain(bad.get(i, GOOD)) for i, n in enumerate(nodes)}
-    monkeypatch.setattr(decomposition, "_node_chain", lambda pop, sources, _: chains[sources])
+    # each source's chain is looked up by the source, and the one meet of a
+    # two-attribute lattice gives the bottom node's chain
+    monkeypatch.setattr(decomposition, "grouped_columns", lambda pop, source: source)
+    monkeypatch.setattr(decomposition, "canonical_chain", lambda source: chains[(source,)])
+    monkeypatch.setattr(decomposition, "meet_all", lambda _: chains[nodes[0].sources])
     if atkinson_route:
         got = _outcome(lambda: atkinson_decompose(d, ["A", "B"], 1.0))
     else:
         got = _outcome(lambda: decompose(d, ["A", "B"], MeasureSpec(mld())))
     assert got == error
+
+
+def test_named_checks_its_lattice():
+    """`named(a, b)` reads only the lattice of a and b, in either order."""
+    rng = np.random.default_rng(23)
+    attrs = {name: rng.choice(["x", "y", "z"], 400) for name in "ABC"}
+    d = Dataset(rng.uniform(0.05, 20.0, 400), attrs)
+    pair = decompose(d, ["A", "B"], SPEC)
+    assert pair.named("B", "A") == pair.named("A", "B")
+    with pytest.raises(UnknownAttribute):
+        decompose(d, ["A", "B", "C"], SPEC).named("A", "B")
+    with pytest.raises(UnknownAttribute):
+        pair.named("A", "C")

@@ -19,6 +19,8 @@ from ineqlab import (
     atkinson_transform,
     bottom,
     custom,
+    decompose,
+    atkinson_decompose,
     ge,
     grouped_columns,
     inequality,
@@ -27,6 +29,8 @@ from ineqlab import (
     pietra,
     population_matrix,
     r_fp,
+    shapley_values,
+    subgroup_decompose,
     theil,
 )
 from ineqlab.measures import _r
@@ -148,6 +152,45 @@ def test_atkinson_zero_income_limits():
 def test_atkinson_of_a_mean_that_rounds_to_zero():
     with pytest.raises(DegeneratePopulation):
         atkinson(Dataset([5e-324, 0, 0]), 0.5)  # a Dataset, with mean 5e-324 / 3 == 0
+
+
+def test_atkinson_limit_of_a_large_eps_is_one_minus_min_over_mean():
+    d = Dataset([1.0, 2.0, 3.0, 0.5], {"A": ["a", "b", "a", "b"]})
+    assert atkinson(d, 1e100) == pytest.approx(1 - 0.5 / 1.625, rel=1e-12)
+
+
+def _scale_free_values(d):
+    """Every measure, and every decomposition's total, of `d` by name."""
+    values = {m: inequality(population_matrix(d), parse_measure(m)[1])
+              for m in ("theil", "mld", "pietra", "ge:2", "ge:-1", "ge:0.5@p=0.25")}
+    values.update({f"atkinson:{eps}": atkinson(d, eps) for eps in (0.5, 1.0, 3.0, 50.0)})
+    values["decompose"] = decompose(d, ["A", "B"], MeasureSpec(theil())).total
+    values["atkinson_decompose"] = atkinson_decompose(d, ["A", "B"], 3.0).total
+    values["subgroup"] = subgroup_decompose(d, "A", 2.0).total
+    values["shapley"] = sum(shapley_values(d, ["A", "B"], MeasureSpec(theil())).values())
+    return values
+
+
+@pytest.mark.parametrize("k", [1e-250, 1e-100, 1e100, 1e250])
+def test_every_measure_is_scale_free_at_extreme_magnitudes(k):
+    """Scaling every indicator by k, however far from 1, keeps each
+    measure: no power or sum may overflow or underflow with the units."""
+    rng = np.random.default_rng(23)
+    n = 200
+    attrs = {"A": rng.choice(["a0", "a1", "a2"], n), "B": rng.choice(["b0", "b1", "b2", "b3"], n)}
+    d = Dataset(rng.uniform(0.05, 20.0, n), attrs)
+    want, got = _scale_free_values(d), _scale_free_values(d.scaled(k))
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("c", [1e200, -1e200, 1.4e154])
+def test_ge_parameter_with_an_infinite_c_c_minus_1_is_invalid(c):
+    with pytest.raises(InvalidMeasure, match="finite c\\(c-1\\)"):
+        ge(c)
+    with pytest.raises(InvalidMeasure):
+        parse_measure(f"ge:{c}")
+    assert ge(1.3e154).c == 1.3e154
 
 
 @settings(max_examples=300, deadline=None)

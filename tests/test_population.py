@@ -220,6 +220,13 @@ def test_encoded_columns_decode_read_only():
     assert pairs(grouped_columns(d, ["A", "B"])) == pairs(grouped_columns(plain, ["A", "B"]))
 
 
+@pytest.mark.parametrize("attributes", [None, {"A": ["a", "b"]}])
+def test_an_indicator_sum_past_the_largest_float_is_degenerate(attributes):
+    """Shares are undefined when the indicators sum to infinity."""
+    with pytest.raises(DegeneratePopulation, match="sum past the largest float"):
+        Dataset([1e308, 1e308], attributes)
+
+
 def test_scaled_keeps_the_attributes_as_given():
     """Integer labels stay ints and an encoded column decodes to the same
     strings, grouped or not; a scaled Dataset keeps no grouping."""
