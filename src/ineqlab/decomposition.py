@@ -23,6 +23,8 @@ from .population import Dataset, _cells, _check_distinct, grouped_columns, popul
 from .zonogon import canonical_chain, meet_all
 
 MAX_ATTRIBUTES = 3
+# math.log(sys.float_info.max): math.exp raises OverflowError past it
+_LOG_MAX_FLOAT = 709.782712893384
 
 
 @dataclass(frozen=True)
@@ -149,19 +151,33 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
     Chains are built from the joint node down, so the Dataset sorts the
     records once. A node of several sources meets the chains of two nodes
     above it, built already: its sources but the last, and the last (the
-    fold of `meet_all`, so `cumulative` has the same bits). The first
-    infinite measure in node order raises. A node's cumulative is the
-    largest of its measure and its strict predecessors' cumulatives.
+    fold of `meet_all`, so `cumulative` has the same bits). Each chain
+    built is kept with the Dataset, read-only, and a kept chain is not
+    built again, so a repeat call makes no grouping and no meet. A meet is
+    kept only if both chains it meets still are: a grouping dropped since
+    they were made drops every kept chain. The first infinite measure in
+    node order raises. A node's cumulative is the largest of its measure
+    and its strict predecessors' cumulatives.
     """
     nodes, _, preds = _lattice_cached(tuple(attrs))
     position = {node.sources: i for i, node in enumerate(nodes)}
+    kept = pop._chains
     chains: list = [None] * len(nodes)
     for i in reversed(range(len(nodes))):
         s = nodes[i].sources
+        chains[i] = kept.get(s)
+        if chains[i] is not None:
+            continue
         if len(s) == 1:
             chains[i] = canonical_chain(grouped_columns(pop, s[0]))
         else:
-            chains[i] = meet_all([chains[position[s[:-1]]], chains[position[s[-1:]]]])
+            above = s[:-1], s[-1:]
+            chains[i] = meet_all([chains[position[a]] for a in above])
+            if not (above[0] in kept and above[1] in kept):
+                continue
+        chains[i].vertices.flags.writeable = False
+        chains[i].edges.flags.writeable = False
+        kept[s] = chains[i]
     stops = list(accumulate(len(chain.edges) for chain in chains))
     columns = np.concatenate([chain.edges for chain in chains])
     measures = _run_measures(columns[:, 0], columns[:, 1], stops, spec)
@@ -214,9 +230,10 @@ class SubgroupResult:
 def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     """Classical GE_c between/within decomposition for one attribute.
 
-    Within-group weights are pshare^(1-c) * ishare^c; the reconstruction
-    between + sum(w_g * within_g) equals the total GE_c. A zero-income group
-    weighs 0 for c > 0, its population share at c = 0 and `inf` for c < 0.
+    Within-group weights are pshare^(1-c) * ishare^c (see `_within_weight`);
+    the reconstruction between + sum(w_g * within_g) equals the total GE_c.
+    A zero-income group weighs 0 for c > 0, its population share at c = 0
+    and `inf` for c < 0.
 
     The records are split into groups by one sort, each group's in record
     order, and `measures._run_measures` checks and measures every group's
@@ -248,11 +265,35 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     values = iter(_run_measures(np.repeat(1.0 / sizes, sizes), shares, stops, spec))
     within = []
     recon = between
-    for key, pshare, ishare in zip(cells.keys(), cols.weights, cols.shares):
-        weight = math.inf if ishare == 0 and c < 0 else pshare ** (1.0 - c) * ishare**c
-        value = 0.0
-        if ishare > 0:
-            value = next(values)
-            recon += weight * value
-        within.append((key, weight, value))
+    # a weight whose power overflows is taken again through logs, and a
+    # reconstruction past the largest float is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, pshare, ishare in zip(cells.keys(), cols.weights, cols.shares):
+            weight = _within_weight(pshare, ishare, c)
+            value = 0.0
+            if ishare > 0:
+                value = next(values)
+                if value > 0:  # a uniform group adds nothing, even at an `inf` weight
+                    recon += weight * value
+            within.append((key, weight, value))
     return SubgroupResult(between, tuple(within), recon, total)
+
+
+def _within_weight(pshare: float, ishare: float, c: float) -> float:
+    """pshare^(1-c) * ishare^c of a group with pshare > 0, `inf` for a
+    zero-income group when c < 0.
+
+    A finite product is the weight. Where it is not, a power overflowed (a
+    large |c|; the caller silences numpy's warning) and the weight is
+    exp((1-c) log pshare + c log ishare) instead, `inf` past the largest
+    float, and 0 for a zero ishare (c > 0).
+    """
+    if ishare == 0 and c < 0:
+        return math.inf
+    weight = pshare ** (1.0 - c) * ishare**c
+    if math.isfinite(weight):
+        return weight
+    if ishare == 0:
+        return 0.0
+    log_weight = (1.0 - c) * math.log(pshare) + c * math.log(ishare)
+    return math.exp(log_weight) if log_weight <= _LOG_MAX_FLOAT else math.inf

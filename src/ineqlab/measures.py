@@ -69,7 +69,9 @@ def ge(c: float) -> Generator:
 
     Values of c within 1e-9 of 0 or 1 dispatch to MLD/Theil, whose
     generators are the limits at the singularities. c must be finite, and
-    so must c(c-1): |c| is at most about 1.34e154.
+    so must c(c-1): |c| is at most about 1.34e154. A large |c| can take
+    t^(1-c) past the largest float; the generator is then `inf` there,
+    with no warning.
     """
     if not math.isfinite(c):
         raise InvalidMeasure(f"GE parameter must be finite, got {c}")
@@ -82,14 +84,14 @@ def ge(c: float) -> Generator:
         return theil()
     at_zero = math.inf if c > 1 else 0.0
     tail = -1.0 / denom if c > 0 else math.inf
-    return Generator(
-        f"ge:{c:g}",
-        lambda t: (t ** (1 - c) - t) / denom,
-        True,
-        at_zero,
-        tail,
-        c,
-    )
+
+    def f(t):
+        # a power past the largest float is inf, silently; any finite one
+        # keeps its bits
+        with np.errstate(over="ignore"):
+            return (t ** (1 - c) - t) / denom
+
+    return Generator(f"ge:{c:g}", f, True, at_zero, tail, c)
 
 
 def custom(

@@ -69,6 +69,9 @@ class Dataset:
     decoded on first access to `attributes`. A Dataset keeps its encodings
     and up to `_KEPT_GROUPINGS` read-only cell tables (`_Cells`), each of
     codes, indicator sums and checked between-group columns, all made at once.
+    It also keeps each lattice node's chain that `decomposition._decompose`
+    builds, keyed by the node's sources, read-only; every one is dropped
+    whenever a grouping is, so none outlives a grouping it came from.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -113,6 +116,8 @@ class Dataset:
         self._encoded = encoded
         self._attributes: dict[str, np.ndarray] | None = None
         self._groupings: dict[tuple[str, ...], _Cells] = {}
+        # each lattice node's `zonogon.Zonogon`, keyed by the node's sources
+        self._chains: dict[tuple[tuple[str, ...], ...], object] = {}
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "Dataset":
@@ -172,7 +177,8 @@ class Dataset:
         encoded. Its sums are one weighted `bincount` over the records in
         record order, so each has the same bits whatever is kept. Each use
         moves a grouping last, and past `_KEPT_GROUPINGS` the first is
-        dropped, so the grouping later ones are projected from stays kept.
+        dropped, so the grouping later ones are projected from stays kept;
+        the kept chains are dropped with it.
         """
         kept = self._groupings
         cells = kept.pop(attrs, None)
@@ -196,6 +202,7 @@ class Dataset:
             cells = _Cells(index, counts, sums, cols, digits, levels)
         if len(kept) == _KEPT_GROUPINGS:
             del kept[next(iter(kept))]
+            self._chains.clear()
         kept[attrs] = cells
         return cells
 

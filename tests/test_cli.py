@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -201,6 +202,47 @@ def test_subgroup_zero_income_group_mld_is_infinite(runner, tmp_path):
     # MLD's within weights are population shares, 0^0 = 1 for a zero-income group
     assert payload["within"][0] == {"group": "r1", "weight": 0.5, "value": 0.0}
     assert payload["within"][1]["weight"] == 0.5
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("c", ["2000", "-2000"])
+def test_subgroup_weight_past_a_power_overflow_is_finite_or_inf(runner, tmp_path, c):
+    """One factor of pshare^(1-c) * ishare^c overflows and the other
+    underflows; the weight is taken through logs, with no warning and no NaN."""
+    p = tmp_path / "d.csv"
+    p.write_text("income,A,B\n1,a,x\n2,b,y\n3,a,y\n4,b,x\n")
+    args = ["-i", str(p), "--value-col", "income", "--group-by", "A", "--measure", f"ge:{c}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke(runner, ["subgroup", *args, "--precision", "17"])
+    assert res.exit_code == 0 and res.stderr == ""
+    payload = json.loads(res.output, parse_constant=_reject_constant)
+    validate(payload, schema("subgroup"))
+    weights = [float(group["weight"]) for group in payload["within"]]
+    assert all(w >= 0 for w in weights) and all(w < math.inf for w in weights)
+    assert payload["reconstruction"] == payload["total"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [(["measure", "--measure", "ge:1e10"], 0), (["measure", "--measure", "ge:-1e150"], 0),
+     (["decompose", "--measure", "ge:1e150", "--attrs", "A,B"], 3)],
+)
+def test_a_ge_power_past_the_float_range_is_a_silent_inf(runner, tmp_path, command, code):
+    p = tmp_path / "d.csv"
+    p.write_text("income,A,B\n1,a,x\n2,b,y\n3,a,y\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke(runner, [*command, "-i", str(p), "--value-col", "income"])
+    assert res.exit_code == code
+    if code == 0:
+        assert res.stderr == ""
+        assert json.loads(res.output, parse_constant=_reject_constant)["value"] == "inf"
+    else:
+        assert res.stderr == "Error: cumulative value of node [[B]] is infinite\n"
 
 
 def test_subgroup_zero_income_group_mld_is_infinite_in_csv(runner, tmp_path):

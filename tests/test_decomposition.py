@@ -26,6 +26,7 @@ from ineqlab import (
     mld,
     pietra,
     redundancy_lattice,
+    shapley_values,
     subgroup_decompose,
     theil,
 )
@@ -247,6 +248,15 @@ def test_subgroup_reconstruction_random(rng, c):
         assert res.reconstruction == pytest.approx(res.total, abs=1e-10)
 
 
+def test_a_uniform_group_adds_nothing_to_the_reconstruction_at_an_inf_weight():
+    """Group b's weight overflows to inf and its value is 0; inf * 0 would
+    make the reconstruction NaN."""
+    d = Dataset([1.0, 2.0, 13.5, 13.5], {"g": ["a", "a", "b", "b"]})
+    res = subgroup_decompose(d, "g", 2000.0)
+    assert res.within[1][1:] == (math.inf, 0.0)
+    assert res.reconstruction == res.total == math.inf
+
+
 def test_decompose_scale_invariance(rng):
     for _ in range(30):
         d = random_dataset(rng, n_attrs=2, max_n=40)
@@ -459,3 +469,96 @@ def test_named_checks_its_lattice():
         decompose(d, ["A", "B", "C"], SPEC).named("A", "B")
     with pytest.raises(UnknownAttribute):
         pair.named("A", "C")
+
+
+# -- the chains a Dataset keeps ------------------------------------------------------
+
+
+def _four_attribute_dataset(seed):
+    rng = np.random.default_rng(seed)
+    attrs = {name: rng.choice(["x", "y", "z"], 300) for name in "ABCD"}
+    return Dataset(rng.uniform(0.05, 20.0, 300), attrs)
+
+
+def _assert_chains_outlive_no_grouping(d):
+    """Every kept chain's sources are kept groupings, and its arrays are read-only."""
+    for sources, chain in d._chains.items():
+        for source in sources:
+            assert tuple(a for a in d.attribute_names if a in source) in d._groupings
+        assert not chain.vertices.flags.writeable and not chain.edges.flags.writeable
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_repeat_decompose_builds_no_chain_and_matches_a_fresh_dataset(monkeypatch, k):
+    """The second call on one Dataset groups nothing and makes no meet, and
+    its result has a fresh Dataset's bits, on both routes."""
+    rng = np.random.default_rng(27 + k)
+    for _ in range(5):
+        d = random_dataset(rng, n_attrs=k, max_n=80, max_cats=4)
+        columns = d.indicators, {a: d.attributes[a] for a in d.attribute_names}
+        for call in (
+            lambda pop: decompose(pop, pop.attribute_names, SPEC),
+            lambda pop: atkinson_decompose(pop, pop.attribute_names, 0.5),
+        ):
+            first = _outcome(lambda: call(d))
+            meets = _count_meets(monkeypatch)
+            groupings = []
+
+            def grouped(*args):
+                groupings.append(args)
+                return grouped_columns(*args)
+
+            monkeypatch.setattr(decomposition, "grouped_columns", grouped)
+            again = _outcome(lambda: call(d))
+            monkeypatch.undo()
+            assert meets == [] and groupings == []
+            assert _same_outcome(again, first)
+            assert _same_outcome(first, _outcome(lambda: call(Dataset(*columns))))
+        _assert_chains_outlive_no_grouping(d)
+
+
+def test_decompose_matches_a_fresh_dataset_after_shapley_drops_groupings():
+    """Shapley over four attributes drops groupings before a decompose, and
+    while one runs; the kept chains go with them, and every result keeps a
+    fresh Dataset's bits."""
+    attrs = ["A", "B", "C"]
+    want = _outcome(lambda: decompose(_four_attribute_dataset(5), attrs, SPEC))
+    before = _four_attribute_dataset(5)
+    decompose(before, attrs, SPEC)
+    assert len(before._chains) == 18
+    shapley_values(before, list("ABCD"), SPEC)
+    assert before._chains == {}
+    during = _four_attribute_dataset(5)
+    shapley_values(during, list("ABCD"), SPEC)
+    # the cache is full and lacks a grouping of the lattice, so the call drops some
+    assert len(during._groupings) == 7 and ("A", "B", "C") not in during._groupings
+    for d in (before, during):
+        for _ in range(2):
+            assert _same_outcome(_outcome(lambda: decompose(d, attrs, SPEC)), want)
+            _assert_chains_outlive_no_grouping(d)
+
+
+def test_kept_chains_are_read_only():
+    d = _four_attribute_dataset(6)
+    decompose(d, ["A", "B"], SPEC)
+    assert len(d._chains) == 4
+    for chain in d._chains.values():
+        for array in (chain.vertices, chain.edges):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+
+def test_a_meet_of_a_chain_whose_grouping_is_dropped_during_the_call_is_not_kept():
+    """The chain of [[B,C]] is kept from a call over B and C; a later call
+    over A, B and C drops the grouping by B and C only after it has read
+    that chain, so the meets it then makes from it are not kept."""
+    d = _four_attribute_dataset(7)
+    decompose(d, ["B", "C"], SPEC)
+    grouped_columns(d, ["C"])
+    grouped_columns(d, ["D"])
+    assert list(d._groupings)[0] == ("B", "C") and len(d._groupings) == 4
+    got = _outcome(lambda: decompose(d, ["A", "B", "C"], SPEC))
+    assert ("B", "C") not in d._groupings and d._chains
+    _assert_chains_outlive_no_grouping(d)
+    fresh = _four_attribute_dataset(7)
+    assert _same_outcome(got, _outcome(lambda: decompose(fresh, ["A", "B", "C"], SPEC)))

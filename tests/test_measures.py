@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,21 @@ def test_ge_parameter_with_an_infinite_c_c_minus_1_is_invalid(c):
     with pytest.raises(InvalidMeasure):
         parse_measure(f"ge:{c}")
     assert ge(1.3e154).c == 1.3e154
+
+
+@pytest.mark.parametrize("c", [-1e150, -2000.0, -1.0, 0.5, 2.0, 2000.0, 1e10, 1e150])
+def test_ge_past_the_float_range_is_a_silent_inf(c):
+    """A power past the largest float makes the generator `inf`, with no
+    warning; every value has the bits of the plain formula."""
+    t = np.array([1e-300, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = ge(c).func(t)
+        measured = inequality(population_matrix(Dataset([1.0, 2.0, 3.0])), MeasureSpec(ge(c)))
+    with np.errstate(over="ignore"):
+        want = (t ** (1 - c) - t) / (c * (c - 1))
+    assert np.array_equal(values, want)
+    assert (measured == math.inf) == (abs(c) >= 2000.0)
 
 
 @settings(max_examples=300, deadline=None)
