@@ -29,7 +29,6 @@ from .population import (
     Dataset,
     WeightedColumns,
     bottom,
-    group_by,
     grouped_columns,
     population_matrix,
 )

@@ -276,8 +276,9 @@ def _emit(payload: dict, fmt: str, precision: int) -> None:
 
 
 def _rounded(obj, precision: int):
-    """`obj` with every float rounded to `precision` digits, -0.0 as 0.0,
-    and an infinity as "inf" or "-inf"."""
+    """`obj` with every float rounded to `precision` digits by Python's
+    `round` (numpy's scales and divides back, which changes the float),
+    -0.0 as 0.0, and an infinity as "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {k: _rounded(v, precision) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -286,7 +287,7 @@ def _rounded(obj, precision: int):
         return obj
     if math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
-    return round(obj, precision) + 0.0
+    return round(float(obj), precision) + 0.0
 
 
 def _flatten(obj, prefix=""):

@@ -103,18 +103,6 @@ class DecompositionResult:
     nodes: tuple[tuple[LatticeNode, float, float], ...]
     total: float
 
-    def cumulative(self, node: LatticeNode) -> float:
-        return self._lookup(node)[0]
-
-    def partial(self, node: LatticeNode) -> float:
-        return self._lookup(node)[1]
-
-    def _lookup(self, node: LatticeNode) -> tuple[float, float]:
-        for n, cum, part in self.nodes:
-            if n == node:
-                return cum, part
-        raise KeyError(node)
-
     def named(self, a: str, b: str) -> dict[str, float]:
         """Two-attribute view: redundant / unique / synergetic components.
 
@@ -128,11 +116,12 @@ class DecompositionResult:
         """
         if self.nodes[-1][0] != LatticeNode.of((a, b)):
             raise UnknownAttribute(f"the result is not the lattice of {a!r} and {b!r}")
+        partial = {node: part for node, _, part in self.nodes}
         return {
-            "redundant": self.partial(LatticeNode.of((a,), (b,))),
-            f"unique_{a}": self.partial(LatticeNode.of((a,))),
-            f"unique_{b}": self.partial(LatticeNode.of((b,))),
-            "synergetic": self.partial(LatticeNode.of((a, b))),
+            "redundant": partial[LatticeNode.of((a,), (b,))],
+            f"unique_{a}": partial[LatticeNode.of((a,))],
+            f"unique_{b}": partial[LatticeNode.of((b,))],
+            "synergetic": partial[LatticeNode.of((a, b))],
         }
 
 
@@ -233,7 +222,9 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     Within-group weights are pshare^(1-c) * ishare^c (see `_within_weight`);
     the reconstruction between + sum(w_g * within_g) equals the total GE_c.
     A zero-income group weighs 0 for c > 0, its population share at c = 0
-    and `inf` for c < 0.
+    and `inf` for c < 0. A within value of 0 adds nothing at any weight,
+    and an `inf` one adds `inf` at any weight, so the reconstruction is
+    never NaN.
 
     The records are split into groups by one sort, each group's in record
     order, and `measures._run_measures` checks and measures every group's
@@ -265,35 +256,35 @@ def subgroup_decompose(pop: Dataset, attr: str, c: float) -> SubgroupResult:
     values = iter(_run_measures(np.repeat(1.0 / sizes, sizes), shares, stops, spec))
     within = []
     recon = between
-    # a weight whose power overflows is taken again through logs, and a
-    # reconstruction past the largest float is inf
+    # a weight whose power under- or overflows is taken again through logs,
+    # and a reconstruction past the largest float is inf
     with np.errstate(over="ignore", invalid="ignore"):
         for key, pshare, ishare in zip(cells.keys(), cols.weights, cols.shares):
             weight = _within_weight(pshare, ishare, c)
             value = 0.0
             if ishare > 0:
                 value = next(values)
-                if value > 0:  # a uniform group adds nothing, even at an `inf` weight
-                    recon += weight * value
+                # a uniform group adds nothing, even at an `inf` weight, and
+                # an `inf` value adds `inf`, even at a weight of 0
+                if value > 0:
+                    recon += value if value == math.inf else weight * value
             within.append((key, weight, value))
     return SubgroupResult(between, tuple(within), recon, total)
 
 
 def _within_weight(pshare: float, ishare: float, c: float) -> float:
-    """pshare^(1-c) * ishare^c of a group with pshare > 0, `inf` for a
-    zero-income group when c < 0.
+    """pshare^(1-c) * ishare^c of a group with pshare > 0.
 
-    A finite product is the weight. Where it is not, a power overflowed (a
-    large |c|; the caller silences numpy's warning) and the weight is
-    exp((1-c) log pshare + c log ishare) instead, `inf` past the largest
-    float, and 0 for a zero ishare (c > 0).
+    A zero-income group weighs 0 for c > 0, pshare at c = 0 and `inf` for
+    c < 0. Otherwise a positive, finite product is the weight. Where it is
+    0 or not finite, a power under- or overflowed (a large |c|; the caller
+    silences numpy's warning) and the weight is
+    exp((1-c) log pshare + c log ishare) instead, `inf` past the largest float.
     """
-    if ishare == 0 and c < 0:
-        return math.inf
-    weight = pshare ** (1.0 - c) * ishare**c
-    if math.isfinite(weight):
-        return weight
     if ishare == 0:
-        return 0.0
+        return math.inf if c < 0 else 0.0 if c > 0 else pshare
+    weight = pshare ** (1.0 - c) * ishare**c
+    if 0 < weight < math.inf:
+        return weight
     log_weight = (1.0 - c) * math.log(pshare) + c * math.log(ishare)
     return math.exp(log_weight) if log_weight <= _LOG_MAX_FLOAT else math.inf

@@ -2,7 +2,7 @@
 
 A population is reduced to a 2 x m matrix of (weight, share) columns: one
 column per individual (``population_matrix``) or per joint category group
-(``group_by``). Both rows sum to one, so the columns generate a zonogon
+(``grouped_columns``). Both rows sum to one, so the columns generate a zonogon
 anchored at (0,0) and ending at (1,1).
 """
 
@@ -312,7 +312,7 @@ def _cells(pop: Dataset, attrs: Iterable[str]) -> _Cells:
 
 
 def grouped_columns(pop: Dataset, attrs: Sequence[str]) -> WeightedColumns:
-    """Between-group columns only (no sub-datasets); used on hot paths."""
+    """The between-group columns of the grouping by `attrs`, in cell order."""
     return _cells(pop, attrs).columns
 
 
@@ -330,34 +330,3 @@ def _check_distinct(attrs: Sequence[str]) -> None:
     for i, a in enumerate(attrs):
         if a in attrs[:i]:
             raise UnknownAttribute(f"attribute {a!r} is repeated")
-
-
-def group_by(
-    pop: Dataset, attrs: Iterable[str]
-) -> tuple[WeightedColumns, list[tuple[tuple[str, ...], Dataset]]]:
-    """Aggregate into joint-category groups.
-
-    Returns the between-group columns (weight n_g/n, share of the group's
-    indicator total) and each group's sub-dataset, ordered lexicographically
-    by joint key. Grouping by no attributes yields the single column (1,1).
-    A group whose indicators are all zero is no Dataset: it raises
-    DegeneratePopulation naming the group's key.
-
-    The indicators and each column of `pop.attributes` are ordered cell
-    by cell with one sort of the cell index, and each sub-dataset is given
-    its group's slice of them: its records in record order, each column as
-    values.
-    """
-    cells = _cells(pop, attrs)
-    keys = cells.keys()
-    zero = np.flatnonzero(cells.sums == 0)
-    if zero.size:
-        raise DegeneratePopulation(f"all indicator values of group {keys[zero[0]]!r} are zero")
-    order, stops = cells.order(), np.cumsum(cells.counts)
-    indicators = pop.indicators[order]
-    columns = {name: col[order] for name, col in pop.attributes.items()}
-    groups = []
-    for key, start, stop in zip(keys, stops - cells.counts, stops):
-        sub = {name: col[start:stop] for name, col in columns.items()}
-        groups.append((key, Dataset(indicators[start:stop], sub, pop.attribute_names)))
-    return cells.columns, groups

@@ -227,6 +227,26 @@ def test_subgroup_weight_past_a_power_overflow_is_finite_or_inf(runner, tmp_path
 
 
 @pytest.mark.parametrize(
+    "rows, c",
+    [("1,a\n3,a\n10,b\n10,b\n", "2000"), ("1,a\n1,b\n2,a\n", "-2000")],
+    ids=["ge:2000", "ge:-2000"],
+)
+def test_an_inf_within_value_makes_the_reconstruction_inf_at_any_weight(runner, tmp_path, rows, c):
+    """Group a's within value overflows to inf while its weight is tiny or
+    0; inf * 0 would make the reconstruction NaN."""
+    p = tmp_path / "d.csv"
+    p.write_text("income,A\n" + rows)
+    args = ["-i", str(p), "--value-col", "income", "--group-by", "A", "--measure", f"ge:{c}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke(runner, ["subgroup", *args])
+    assert res.exit_code == 0 and res.stderr == ""
+    payload = json.loads(res.output, parse_constant=_reject_constant)
+    validate(payload, schema("subgroup"))
+    assert payload["within"][0]["value"] == payload["reconstruction"] == "inf"
+
+
+@pytest.mark.parametrize(
     "command, code",
     [(["measure", "--measure", "ge:1e10"], 0), (["measure", "--measure", "ge:-1e150"], 0),
      (["decompose", "--measure", "ge:1e150", "--attrs", "A,B"], 3)],
@@ -438,6 +458,14 @@ def test_precision_flag(runner, xor_file):
 def test_rounding_gives_no_negative_zero():
     zero = _rounded(-1e-17, 6)
     assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+
+def test_a_numpy_float_rounds_as_the_float_it_holds():
+    """numpy's own round scales by 10^p and divides back, which at 17
+    digits prints a float other than the one computed."""
+    x = 0.09682634177499387
+    got = _rounded({"w": np.float64(x)}, 17)["w"]
+    assert got == x and type(got) is float
 
 
 @pytest.mark.parametrize(

@@ -86,8 +86,6 @@ def test_cumulative_values(d_xor, d_red):
     assert cumulative(joint, d_xor, SPEC) == pytest.approx(THEIL_13)
     assert cumulative(both, d_xor, SPEC) == pytest.approx(0.0, abs=1e-12)
     assert cumulative(both, d_red, SPEC) == pytest.approx(THEIL_13)
-    with pytest.raises(KeyError):
-        decompose(d_xor, ["A", "B"], SPEC).cumulative(LatticeNode.of(("C",)))
 
 
 def test_decompose_xor_all_synergy(d_xor):
@@ -120,13 +118,10 @@ def test_decompose_consistency(rng):
         d = random_dataset(rng, n_attrs=2, max_n=60)
         res = decompose(d, ["A", "B"], SPEC)
         named = res.named("A", "B")
+        cum = {node: c for node, c, _ in res.nodes}
         r = named["redundant"]
-        assert r + named["unique_A"] == pytest.approx(
-            res.cumulative(LatticeNode.of(("A",))), abs=1e-10
-        )
-        assert r + named["unique_B"] == pytest.approx(
-            res.cumulative(LatticeNode.of(("B",))), abs=1e-10
-        )
+        assert r + named["unique_A"] == pytest.approx(cum[LatticeNode.of(("A",))], abs=1e-10)
+        assert r + named["unique_B"] == pytest.approx(cum[LatticeNode.of(("B",))], abs=1e-10)
         assert sum(p for _, _, p in res.nodes) == pytest.approx(res.total, abs=1e-10)
 
 
@@ -255,6 +250,25 @@ def test_a_uniform_group_adds_nothing_to_the_reconstruction_at_an_inf_weight():
     res = subgroup_decompose(d, "g", 2000.0)
     assert res.within[1][1:] == (math.inf, 0.0)
     assert res.reconstruction == res.total == math.inf
+
+
+def test_a_weight_whose_power_underflows_is_taken_through_logs():
+    """At c = -2000 group a's (2/3)^2001 underflows to 0 while (3/4)^-2000
+    stays finite, so the product is 0; the weight is its log form."""
+    d = Dataset([1, 1, 2], {"A": ["a", "b", "a"]})
+    res = subgroup_decompose(d, "A", -2000.0)
+    want = math.exp(2001 * math.log(2 / 3) - 2000 * math.log(3 / 4))
+    assert res.within[0][1] == pytest.approx(want, rel=1e-12)
+    assert res.within[0][2] == res.reconstruction == math.inf
+
+
+def test_an_inf_within_value_adds_inf_at_a_weight_of_0():
+    """Group a's weight underflows to 0 even through logs and its value
+    overflows to inf; inf * 0 would make the reconstruction NaN."""
+    d = Dataset([1.0, 3.0, 10.0, 10.0], {"g": ["a", "a", "b", "b"]})
+    res = subgroup_decompose(d, "g", 2000.0)
+    assert res.within[0][1:] == (0.0, math.inf)
+    assert res.reconstruction == math.inf
 
 
 def test_decompose_scale_invariance(rng):

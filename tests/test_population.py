@@ -25,7 +25,6 @@ from ineqlab import (
     decompose,
     game_synergy,
     game_value,
-    group_by,
     grouped_columns,
     inequality,
     mld,
@@ -89,32 +88,30 @@ def test_zero_indicators_are_retained():
 
 
 def test_group_by_xor_marginal(d_xor):
-    cols, groups = group_by(d_xor, {"A"})
-    assert pairs(cols) == [(0.5, 0.5), (0.5, 0.5)]
-    assert [k for k, _ in groups] == [("a1",), ("a2",)]
-    assert sorted(groups[0][1].indicators.tolist()) == [1, 3]
+    cells = _cells(d_xor, {"A"})
+    assert pairs(grouped_columns(d_xor, {"A"})) == [(0.5, 0.5), (0.5, 0.5)]
+    assert cells.keys() == [("a1",), ("a2",)]
+    assert sorted(d_xor.indicators[cells.codes == 0].tolist()) == [1, 3]
 
 
 def test_group_by_xor_joint(d_xor):
-    cols, groups = group_by(d_xor, {"A", "B"})
-    assert pairs(cols) == [
+    assert pairs(grouped_columns(d_xor, {"A", "B"})) == [
         (0.25, 0.125),
         (0.25, 0.375),
         (0.25, 0.375),
         (0.25, 0.125),
     ]
-    assert groups[0][0] == ("a1", "b1")
+    assert _cells(d_xor, {"A", "B"}).keys()[0] == ("a1", "b1")
 
 
 def test_group_by_empty_is_bottom(d_xor):
-    cols, groups = group_by(d_xor, set())
-    assert pairs(cols) == pairs(bottom()) == [(1.0, 1.0)]
-    assert len(groups) == 1
+    assert pairs(grouped_columns(d_xor, set())) == pairs(bottom()) == [(1.0, 1.0)]
+    assert _cells(d_xor, set()).keys() == [()]
 
 
 def test_group_by_unknown_attribute(d_xor):
     with pytest.raises(UnknownAttribute):
-        group_by(d_xor, {"C"})
+        grouped_columns(d_xor, {"C"})
 
 
 @pytest.mark.parametrize("names", [["X", "Y"], ["Y", "X"]])
@@ -134,7 +131,7 @@ def test_dataset_rejects_repeated_attribute_names():
         Dataset([1, 2], {"A": ["x", "y"]}, ["A", "A"])
 
 
-@pytest.mark.parametrize("grouping", [grouped_columns, group_by])
+@pytest.mark.parametrize("grouping", [grouped_columns, _cells])
 def test_a_repeated_grouping_attribute_is_rejected(d_xor, grouping):
     """Every grouping follows the rule of decompose and shapley, rather than
     grouping by A alone."""
@@ -156,31 +153,23 @@ def test_subgroup_weight_of_a_zero_income_group(c, weight):
 
 def test_group_by_integer_levels_in_string_order():
     d = Dataset([1, 2, 3, 4], {"age": [9, 10, 9, 2]}, ["age"])
-    cols, groups = group_by(d, {"age"})
-    assert [k for k, _ in groups] == [("10",), ("2",), ("9",)]
-    assert pairs(cols) == [(0.25, 0.2), (0.25, 0.4), (0.5, 0.4)]
+    assert _cells(d, {"age"}).keys() == [("10",), ("2",), ("9",)]
+    assert pairs(grouped_columns(d, {"age"})) == [(0.25, 0.2), (0.25, 0.4), (0.5, 0.4)]
 
 
 def test_attribute_columns_are_read_only_copies():
     labels = np.array(["a", "a", "b", "b"], dtype=object)
     d = Dataset([1, 1, 3, 3], {"A": labels}, ["A"])
-    cols, _ = group_by(d, {"A"})  # encodes A
+    cols = grouped_columns(d, {"A"})  # encodes A
     labels[:] = "a"
-    assert pairs(group_by(d, {"A"})[0]) == pairs(cols) == [(0.5, 0.25), (0.5, 0.75)]
+    assert pairs(grouped_columns(d, {"A"})) == pairs(cols) == [(0.5, 0.25), (0.5, 0.75)]
     with pytest.raises(ValueError):
         d.attributes["A"][0] = "b"
 
 
-def test_group_by_names_an_all_zero_group():
-    d = Dataset([0.0, 1.0], {"g": ["a", "b"]})
-    with pytest.raises(DegeneratePopulation, match=r"group \('a',\)"):
-        group_by(d, {"g"})
-    assert [k for k, _ in group_by(d, set())[1]] == [()]
-
-
 def test_labels_differing_by_trailing_nul_are_distinct():
     d = Dataset([1, 2, 3], {"A": ["a", "a\x00", "b"]})
-    assert [k for k, _ in group_by(d, {"A"})[1]] == [("a",), ("a\x00",), ("b",)]
+    assert _cells(d, {"A"}).keys() == [("a",), ("a\x00",), ("b",)]
 
 
 def unique_encoding(labels):
@@ -283,7 +272,7 @@ def test_weighted_columns_validation():
 def test_column_sums_on_random_inputs(rng):
     for _ in range(50):
         d = random_dataset(rng)
-        for cols in (population_matrix(d), group_by(d, {"A"})[0]):
+        for cols in (population_matrix(d), grouped_columns(d, {"A"})):
             assert abs(cols.weights.sum() - 1) < 1e-12 * max(1, len(cols))
             assert abs(cols.shares.sum() - 1) < 1e-12 * max(1, len(cols))
 
@@ -316,8 +305,8 @@ def test_duplication_same_zonogon(rng):
 def test_refinement_coarsening(rng):
     for _ in range(20):
         d = random_dataset(rng, n_attrs=2)
-        z1 = canonical_chain(group_by(d, {"A"})[0])
-        z2 = canonical_chain(group_by(d, {"A", "B"})[0])
+        z1 = canonical_chain(grouped_columns(d, {"A"}))
+        z2 = canonical_chain(grouped_columns(d, {"A", "B"}))
         assert order(z1, z2) in (OrderRelation.EQUAL, OrderRelation.STRICTLY_BELOW)
 
 
@@ -512,17 +501,6 @@ class ParentGrouping:
         _, _, counts, sums = self.cells(attrs)
         return WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
 
-    def group_by(self, attrs):
-        pop = self.pop
-        codes, keys, counts, sums = self.cells(attrs)
-        cols = WeightedColumns(counts / len(pop), sums / pop.indicators.sum())
-        groups = []
-        for g, key in enumerate(keys):
-            mask = codes == g
-            sub_attrs = {n: c[mask] for n, c in pop.attributes.items()}
-            groups.append((key, Dataset(pop.indicators[mask], sub_attrs, pop.attribute_names)))
-        return cols, groups
-
     def subgroup_decompose(self, attr, c):
         pop = self.pop
         spec = MeasureSpec(ge(c))
@@ -592,36 +570,12 @@ def grouping_cases(draw):
     return d, draw(st.permutations(subsets)), cap
 
 
-def same_group_by(got, want):
-    if isinstance(got, type) or isinstance(want, type):
-        return got is want
-    (cols, groups), (want_cols, want_groups) = got, want
-    if bits(cols.weights) != bits(want_cols.weights) or bits(cols.shares) != bits(want_cols.shares):
-        return False
-    if [k for k, _ in groups] != [k for k, _ in want_groups]:
-        return False
-    for (_, sub), (_, want_sub) in zip(groups, want_groups):
-        if bits(sub.indicators) != bits(want_sub.indicators):
-            return False
-        if sub.attribute_names != want_sub.attribute_names:
-            return False
-        for name in sub.attribute_names:
-            if sub.attributes[name].tolist() != want_sub.attributes[name].tolist():
-                return False
-            (levels, codes), (want_levels, want_codes) = sub._encode(name), want_sub._encode(name)
-            if levels != want_levels or codes.dtype != want_codes.dtype or bits(codes) != bits(
-                want_codes
-            ):
-                return False
-    return True
-
-
 @settings(max_examples=200, deadline=None)
 @given(grouping_cases())
 def test_grouping_is_the_mask_per_group_code_bit_for_bit(case):
-    """Cells, between-group columns, group_by's sub-datasets, subgroup
-    within values and the decompositions built on them are those of the
-    mask-per-group code, float for float by their bytes.
+    """Cells, between-group columns, subgroup within values and the
+    decompositions built on them are those of the mask-per-group code,
+    float for float by their bytes.
 
     Every subset is grouped twice in a row, the second time from its kept
     grouping, and then all once more, under a drawn cap on kept groupings
@@ -646,8 +600,6 @@ def check_mask_grouping_bits(d, parent, sequence):
         assert cells.counts.tolist() == counts.tolist() and bits(cells.sums) == bits(sums)
         cols, want = grouped_columns(d, subset), parent.grouped_columns(d, subset)
         assert bits(cols.weights) == bits(want.weights) and bits(cols.shares) == bits(want.shares)
-        assert same_group_by(outcome(lambda: group_by(d, subset)),
-                             outcome(lambda: parent.group_by(subset)))
         assert len(d._groupings) <= population._KEPT_GROUPINGS
     for attr in d.attribute_names:
         for c in (-1.0, 0.0, 0.5, 1.0, 2.0):
@@ -715,8 +667,6 @@ def test_every_grouping_makes_one_pass_over_the_records(monkeypatch):
         first = count(lambda: grouped_columns(d, subset))
         assert first == (subset != ("B",))
         assert count(lambda: grouped_columns(d, subset)) == 0
-        assert count(lambda: group_by(d, subset)) == 0
-    assert count(lambda: group_by(d, joint)) == 0
     for attr in joint:
         assert count(lambda: subgroup_decompose(d, attr, 2.0)) == 0
     for subset, cells in list(d._groupings.items()):
@@ -840,7 +790,6 @@ def call_sequences(draw):
     attr_lists = st.lists(st.sampled_from(names), unique=True, max_size=len(names))
     call = st.one_of(
         st.builds(lambda a: (f"grouped_columns{a}", lambda d: grouped_columns(d, a)), attr_lists),
-        st.builds(lambda a: (f"group_by{a}", lambda d: group_by(d, a)), attr_lists),
         st.builds(lambda a, c: (f"subgroup{a, c}", lambda d: subgroup_decompose(d, a, c)),
                   st.sampled_from(names), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])),
         st.builds(lambda a, s: (f"decompose{a}", lambda d: decompose(d, a, s)),
@@ -886,7 +835,9 @@ def test_writing_the_callers_indicators_changes_no_result():
     spec = MeasureSpec(theil())
     assert bits(d.indicators) == bits(want.indicators)
     assert canonical(grouped_columns(d, ["A"])) == canonical(grouped_columns(want, ["A"]))
-    assert canonical(group_by(d, ["A"])) == canonical(group_by(want, ["A"]))
+    assert canonical(subgroup_decompose(d, "A", 2.0)) == canonical(
+        subgroup_decompose(want, "A", 2.0)
+    )
     assert inequality(population_matrix(d), spec) == inequality(population_matrix(want), spec)
 
 
