@@ -28,7 +28,6 @@ from .measures import (
 from .population import (
     Dataset,
     WeightedColumns,
-    bottom,
     grouped_columns,
     population_matrix,
 )

@@ -140,36 +140,29 @@ def _decompose(pop: Dataset, attrs: Sequence[str], spec: MeasureSpec, transform=
     Chains are built from the joint node down, so the Dataset sorts the
     records once. A node of several sources meets the chains of two nodes
     above it, built already: its sources but the last, and the last (the
-    fold of `meet_all`, so `cumulative` has the same bits). Each chain
-    built is kept with the Dataset, read-only, and a kept chain is not
-    built again, so a repeat call makes no grouping and no meet. A meet is
-    kept only if both chains it meets still are: a grouping dropped since
-    they were made drops every kept chain. The first infinite measure in
-    node order raises. A node's cumulative is the largest of its measure
-    and its strict predecessors' cumulatives.
+    fold of `meet_all`, so `cumulative` has the same bits). A chain depends
+    on the population only, so the Dataset keeps the last lattice measured:
+    its nodes, every node's edges end to end, read-only, and where each
+    node's run ends. A repeat over the same nodes makes no grouping and no
+    meet; another lattice replaces it. The first infinite measure in node
+    order raises. A node's cumulative is the largest of its measure and its
+    strict predecessors' cumulatives.
     """
     nodes, _, preds = _lattice_cached(tuple(attrs))
-    position = {node.sources: i for i, node in enumerate(nodes)}
-    kept = pop._chains
-    chains: list = [None] * len(nodes)
-    for i in reversed(range(len(nodes))):
-        s = nodes[i].sources
-        chains[i] = kept.get(s)
-        if chains[i] is not None:
-            continue
-        if len(s) == 1:
-            chains[i] = canonical_chain(grouped_columns(pop, s[0]))
-        else:
-            above = s[:-1], s[-1:]
-            chains[i] = meet_all([chains[position[a]] for a in above])
-            if not (above[0] in kept and above[1] in kept):
-                continue
-        chains[i].vertices.flags.writeable = False
-        chains[i].edges.flags.writeable = False
-        kept[s] = chains[i]
-    stops = list(accumulate(len(chain.edges) for chain in chains))
-    columns = np.concatenate([chain.edges for chain in chains])
-    measures = _run_measures(columns[:, 0], columns[:, 1], stops, spec)
+    if pop._lattice is None or pop._lattice[0] != nodes:
+        position = {node.sources: i for i, node in enumerate(nodes)}
+        chains: list = [None] * len(nodes)
+        for i in reversed(range(len(nodes))):
+            s = nodes[i].sources
+            if len(s) == 1:
+                chains[i] = canonical_chain(grouped_columns(pop, s[0]))
+            else:
+                chains[i] = meet_all([chains[position[a]] for a in (s[:-1], s[-1:])])
+        edges = np.concatenate([chain.edges for chain in chains])
+        edges.flags.writeable = False
+        pop._lattice = nodes, edges, tuple(accumulate(len(chain.edges) for chain in chains))
+    _, edges, stops = pop._lattice
+    measures = _run_measures(edges[:, 0], edges[:, 1], stops, spec)
     cumulatives = []
     for node, value, below in zip(nodes, measures, preds):
         if math.isinf(value):

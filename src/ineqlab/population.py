@@ -69,9 +69,8 @@ class Dataset:
     decoded on first access to `attributes`. A Dataset keeps its encodings
     and up to `_KEPT_GROUPINGS` read-only cell tables (`_Cells`), each of
     codes, indicator sums and checked between-group columns, all made at once.
-    It also keeps each lattice node's chain that `decomposition._decompose`
-    builds, keyed by the node's sources, read-only; every one is dropped
-    whenever a grouping is, so none outlives a grouping it came from.
+    It also keeps the last lattice `decomposition._decompose` measured, which
+    depends on the indicators and attribute columns only.
     """
 
     def __init__(self, indicators, attributes=None, attribute_names=None):
@@ -116,8 +115,8 @@ class Dataset:
         self._encoded = encoded
         self._attributes: dict[str, np.ndarray] | None = None
         self._groupings: dict[tuple[str, ...], _Cells] = {}
-        # each lattice node's `zonogon.Zonogon`, keyed by the node's sources
-        self._chains: dict[tuple[tuple[str, ...], ...], object] = {}
+        # (nodes, edges, stops) of the last lattice `_decompose` measured
+        self._lattice: tuple | None = None
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "Dataset":
@@ -134,7 +133,9 @@ class Dataset:
     @property
     def attributes(self) -> dict[str, np.ndarray]:
         """Each attribute column as a read-only object array; a column
-        given encoded holds its level strings, decoded on first access."""
+        given encoded holds its level strings, decoded on first access.
+        The dict is a new one on each access, so changing it changes no
+        column of the Dataset."""
         if self._attributes is None:
             self._attributes = {}
             for name in self.attribute_names:
@@ -144,7 +145,7 @@ class Dataset:
                     col = np.array(levels, dtype=object)[codes]
                     col.flags.writeable = False
                 self._attributes[name] = col
-        return self._attributes
+        return dict(self._attributes)
 
     def scaled(self, k: float) -> "Dataset":
         """A new Dataset of every indicator times `k`, with no kept grouping and
@@ -177,8 +178,7 @@ class Dataset:
         encoded. Its sums are one weighted `bincount` over the records in
         record order, so each has the same bits whatever is kept. Each use
         moves a grouping last, and past `_KEPT_GROUPINGS` the first is
-        dropped, so the grouping later ones are projected from stays kept;
-        the kept chains are dropped with it.
+        dropped, so the grouping later ones are projected from stays kept.
         """
         kept = self._groupings
         cells = kept.pop(attrs, None)
@@ -202,7 +202,6 @@ class Dataset:
             cells = _Cells(index, counts, sums, cols, digits, levels)
         if len(kept) == _KEPT_GROUPINGS:
             del kept[next(iter(kept))]
-            self._chains.clear()
         kept[attrs] = cells
         return cells
 
@@ -250,11 +249,6 @@ def population_matrix(pop: Dataset) -> WeightedColumns:
     """One column per record: weight 1/n, share s/(n*mean)."""
     n = len(pop)
     return WeightedColumns(np.full(n, 1.0 / n), pop.indicators / pop.indicators.sum())
-
-
-def bottom() -> WeightedColumns:
-    """The single-group element: one column (1,1)."""
-    return WeightedColumns([1.0], [1.0])
 
 
 def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

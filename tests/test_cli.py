@@ -265,6 +265,84 @@ def test_a_ge_power_past_the_float_range_is_a_silent_inf(runner, tmp_path, comma
         assert res.stderr == "Error: cumulative value of node [[B]] is infinite\n"
 
 
+# Every command at any scale of the data and any admitted parameter exits 0,
+# 2 or 3, with no warning, and prints strict JSON on success.
+RANGE_SCALES = [-300, -100, 0, 100, 300]
+RANGE_COMMANDS = [
+    ["measure"],
+    ["decompose", "--attrs", "A,B"],
+    ["shapley", "--attrs", "A,B"],
+    ["subgroup", "--group-by", "A"],
+]
+RANGE_GRID = [
+    *(f"ge:{c}" for c in ["1e150", "-1e150", "1e10", "-1e10", "2000", "-2000", "300", "-300"]),
+    *(f"ge:{c}" for c in ["-50", "50", "-1", "-1e-6", "0.5", "2"]),
+    *(f"ge:{c}@p=0.5" for c in ["-300", "300", "2000"]),
+    *(f"atkinson:{eps}" for eps in ["0.5", "3", "1e3", "1e100"]),
+]
+
+
+@pytest.fixture(scope="module")
+def range_csvs(tmp_path_factory):
+    """A seeded 40-row lognormal CSV with A (3 levels) and B (2 levels),
+    scaled by 10^j for each j of RANGE_SCALES, without and with a
+    zero-income group (A = a0), keyed by (j, zero)."""
+    incomes = np.random.default_rng(29).lognormal(0.0, 1.0, 40)
+    a = np.array([f"a{i % 3}" for i in range(40)])
+    b = [f"b{i % 2}" for i in range(40)]
+    paths = {}
+    for j in RANGE_SCALES:
+        for zero in (False, True):
+            x = np.where(zero & (a == "a0"), 0.0, incomes * 10.0**j)
+            p = tmp_path_factory.mktemp("range") / "d.csv"
+            p.write_text("income,A,B\n" + "".join(f"{v!r},{g},{h}\n" for v, g, h in zip(x.tolist(), a, b)))
+            paths[j, zero] = str(p)
+    return paths
+
+
+def _check_range_run(path, measure):
+    """Run every command of RANGE_COMMANDS with `measure`; return their exit codes."""
+    runner = CliRunner()
+    codes = []
+    for command in RANGE_COMMANDS:
+        # a precision past 323 digits rounds no float
+        args = [*command, "-i", path, "--value-col", "income", "--measure", measure]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = invoke(runner, [*args, "--precision", "400"])
+        assert res.exit_code in (0, 2, 3), (args, res.output)
+        codes.append(res.exit_code)
+        if res.exit_code != 0:
+            continue
+        payload = json.loads(res.output, parse_constant=_reject_constant)
+        if command[0] == "subgroup":
+            within = [group[k] for group in payload["within"] for k in ("weight", "value")]
+            fields = [payload["between"], payload["reconstruction"], payload["total"], *within]
+            if not any(isinstance(f, str) for f in fields):  # every field is finite
+                assert payload["reconstruction"] == pytest.approx(payload["total"], rel=1e-10, abs=0)
+    return codes
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["", "zero-group"])
+@pytest.mark.parametrize("j", RANGE_SCALES)
+def test_every_command_on_the_numeric_range_grid(range_csvs, j, zero):
+    codes = [code for measure in RANGE_GRID for code in _check_range_run(range_csvs[j, zero], measure)]
+    # every command succeeds at ge:2, the one parameter of a moderate power
+    assert codes[RANGE_GRID.index("ge:2") * len(RANGE_COMMANDS) :][: len(RANGE_COMMANDS)] == [0] * 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["ge:", "ge:-", "atkinson:"]),
+    st.integers(0, 154),
+    st.sampled_from(RANGE_SCALES),
+    st.booleans(),
+)
+def test_every_command_at_a_parameter_of_any_power_of_ten(range_csvs, family, k, j, zero):
+    """ge:+-10^k and atkinson:10^k for k from 0 to 154."""
+    _check_range_run(range_csvs[j, zero], f"{family}1e{k}")
+
+
 def test_subgroup_zero_income_group_mld_is_infinite_in_csv(runner, tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("income,region\n0,r1\n0,r1\n3,r2\n5,r2\n")

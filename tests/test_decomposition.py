@@ -485,7 +485,7 @@ def test_named_checks_its_lattice():
         pair.named("A", "C")
 
 
-# -- the chains a Dataset keeps ------------------------------------------------------
+# -- the lattice a Dataset keeps -----------------------------------------------------
 
 
 def _four_attribute_dataset(seed):
@@ -494,85 +494,89 @@ def _four_attribute_dataset(seed):
     return Dataset(rng.uniform(0.05, 20.0, 300), attrs)
 
 
-def _assert_chains_outlive_no_grouping(d):
-    """Every kept chain's sources are kept groupings, and its arrays are read-only."""
-    for sources, chain in d._chains.items():
-        for source in sources:
-            assert tuple(a for a in d.attribute_names if a in source) in d._groupings
-        assert not chain.vertices.flags.writeable and not chain.edges.flags.writeable
+def _warm_outcome(monkeypatch, d, call):
+    """The outcome of `call(d)`, asserting that it groups nothing, makes no
+    meet and leaves the kept groupings as they were."""
+    kept = list(d._groupings)
+    meets = _count_meets(monkeypatch)
+    groupings = []
+
+    def grouped(*args):
+        groupings.append(args)
+        return grouped_columns(*args)
+
+    monkeypatch.setattr(decomposition, "grouped_columns", grouped)
+    got = _outcome(lambda: call(d))
+    monkeypatch.undo()
+    assert meets == [] and groupings == [] and list(d._groupings) == kept
+    return got
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_a_repeat_decompose_builds_no_chain_and_matches_a_fresh_dataset(monkeypatch, k):
-    """The second call on one Dataset groups nothing and makes no meet, and
-    its result has a fresh Dataset's bits, on both routes."""
+    """The second call on one Dataset, with any measure, groups nothing and
+    makes no meet, and its result has a fresh Dataset's bits, on both routes."""
     rng = np.random.default_rng(27 + k)
     for _ in range(5):
         d = random_dataset(rng, n_attrs=k, max_n=80, max_cats=4)
-        columns = d.indicators, {a: d.attributes[a] for a in d.attribute_names}
+        columns = d.indicators, d.attributes
         for call in (
             lambda pop: decompose(pop, pop.attribute_names, SPEC),
             lambda pop: atkinson_decompose(pop, pop.attribute_names, 0.5),
         ):
             first = _outcome(lambda: call(d))
-            meets = _count_meets(monkeypatch)
-            groupings = []
-
-            def grouped(*args):
-                groupings.append(args)
-                return grouped_columns(*args)
-
-            monkeypatch.setattr(decomposition, "grouped_columns", grouped)
-            again = _outcome(lambda: call(d))
-            monkeypatch.undo()
-            assert meets == [] and groupings == []
+            again = _warm_outcome(monkeypatch, d, call)
             assert _same_outcome(again, first)
             assert _same_outcome(first, _outcome(lambda: call(Dataset(*columns))))
-        _assert_chains_outlive_no_grouping(d)
 
 
-def test_decompose_matches_a_fresh_dataset_after_shapley_drops_groupings():
-    """Shapley over four attributes drops groupings before a decompose, and
-    while one runs; the kept chains go with them, and every result keeps a
-    fresh Dataset's bits."""
+def test_decompose_matches_a_fresh_dataset_after_shapley_drops_groupings(monkeypatch):
+    """Shapley over four attributes drops groupings of the lattice, yet a
+    repeat decompose still groups nothing and makes no meet; a decompose
+    whose groupings are dropped while it runs keeps a fresh Dataset's bits."""
     attrs = ["A", "B", "C"]
-    want = _outcome(lambda: decompose(_four_attribute_dataset(5), attrs, SPEC))
+    call = lambda pop: decompose(pop, attrs, SPEC)  # noqa: E731
+    want = _outcome(lambda: call(_four_attribute_dataset(5)))
     before = _four_attribute_dataset(5)
-    decompose(before, attrs, SPEC)
-    assert len(before._chains) == 18
+    call(before)
     shapley_values(before, list("ABCD"), SPEC)
-    assert before._chains == {}
+    assert not {("A", "B"), ("B", "C"), ("A", "B", "C")} & set(before._groupings)
+    assert _same_outcome(_warm_outcome(monkeypatch, before, call), want)
     during = _four_attribute_dataset(5)
     shapley_values(during, list("ABCD"), SPEC)
     # the cache is full and lacks a grouping of the lattice, so the call drops some
     assert len(during._groupings) == 7 and ("A", "B", "C") not in during._groupings
-    for d in (before, during):
-        for _ in range(2):
-            assert _same_outcome(_outcome(lambda: decompose(d, attrs, SPEC)), want)
-            _assert_chains_outlive_no_grouping(d)
+    assert _same_outcome(_outcome(lambda: call(during)), want)
+    assert _same_outcome(_warm_outcome(monkeypatch, during, call), want)
 
 
-def test_kept_chains_are_read_only():
+def test_the_kept_lattice_is_one_read_only_array():
+    """The kept lattice is its nodes, every node's chain edges end to end in
+    one read-only array, and where each node's run ends; each run is the
+    edges of the meet `cumulative` makes of the node's sources."""
     d = _four_attribute_dataset(6)
-    decompose(d, ["A", "B"], SPEC)
-    assert len(d._chains) == 4
-    for chain in d._chains.values():
-        for array in (chain.vertices, chain.edges):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.5
+    decompose(d, ["A", "B", "C"], SPEC)
+    nodes, edges, stops = d._lattice
+    assert nodes == _lattice_cached(("A", "B", "C"))[0] and len(stops) == 18
+    for node, a, b in zip(nodes, [0, *stops], stops):
+        chains = [canonical_chain(grouped_columns(d, s)) for s in node.sources]
+        assert np.array_equal(edges[a:b], meet_all(chains).edges)
+    assert stops[-1] == len(edges)
+    with pytest.raises(ValueError, match="read-only"):
+        edges[0] = 0.5
 
 
-def test_a_meet_of_a_chain_whose_grouping_is_dropped_during_the_call_is_not_kept():
-    """The chain of [[B,C]] is kept from a call over B and C; a later call
-    over A, B and C drops the grouping by B and C only after it has read
-    that chain, so the meets it then makes from it are not kept."""
-    d = _four_attribute_dataset(7)
-    decompose(d, ["B", "C"], SPEC)
-    grouped_columns(d, ["C"])
-    grouped_columns(d, ["D"])
-    assert list(d._groupings)[0] == ("B", "C") and len(d._groupings) == 4
-    got = _outcome(lambda: decompose(d, ["A", "B", "C"], SPEC))
-    assert ("B", "C") not in d._groupings and d._chains
-    _assert_chains_outlive_no_grouping(d)
+def test_a_decompose_over_other_attributes_replaces_the_kept_lattice():
+    """A call over C and B replaces the kept lattice of A, B and C, and a
+    repeat over A, B and C then has a fresh Dataset's bits on both routes."""
     fresh = _four_attribute_dataset(7)
-    assert _same_outcome(got, _outcome(lambda: decompose(fresh, ["A", "B", "C"], SPEC)))
+    want = [
+        _outcome(lambda: decompose(fresh, ["A", "B", "C"], SPEC)),
+        _outcome(lambda: atkinson_decompose(fresh, ["A", "B", "C"], 0.5)),
+    ]
+    d = _four_attribute_dataset(7)
+    decompose(d, ["A", "B", "C"], SPEC)
+    decompose(d, ["C", "B"], SPEC)
+    assert d._lattice[0] == _lattice_cached(("B", "C"))[0] and len(d._lattice[2]) == 4
+    assert _same_outcome(_outcome(lambda: decompose(d, ["A", "B", "C"], SPEC)), want[0])
+    assert _same_outcome(_outcome(lambda: atkinson_decompose(d, ["A", "B", "C"], 0.5)), want[1])

@@ -16,9 +16,9 @@ from ineqlab import (
     MeasureSpec,
     NegativeComponent,
     TransformDomainError,
+    WeightedColumns,
     atkinson,
     atkinson_transform,
-    bottom,
     custom,
     decompose,
     atkinson_decompose,
@@ -97,7 +97,7 @@ def test_r_fp_zero_share_limits():
 
 def test_inequality_bottom_is_zero():
     for spec in (MeasureSpec(pietra()), MeasureSpec(theil()), MeasureSpec(ge(2), 0.4)):
-        assert inequality(bottom(), spec) == pytest.approx(0.0, abs=1e-12)
+        assert inequality(WeightedColumns([1.0], [1.0]), spec) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inequality_hand_values():

@@ -20,7 +20,6 @@ from ineqlab import (
     UnknownAttribute,
     WeightedColumns,
     atkinson_decompose,
-    bottom,
     canonical_chain,
     decompose,
     game_synergy,
@@ -105,7 +104,7 @@ def test_group_by_xor_joint(d_xor):
 
 
 def test_group_by_empty_is_bottom(d_xor):
-    assert pairs(grouped_columns(d_xor, set())) == pairs(bottom()) == [(1.0, 1.0)]
+    assert pairs(grouped_columns(d_xor, set())) == pairs(WeightedColumns([1.0], [1.0])) == [(1.0, 1.0)]
     assert _cells(d_xor, set()).keys() == [()]
 
 
@@ -165,6 +164,18 @@ def test_attribute_columns_are_read_only_copies():
     assert pairs(grouped_columns(d, {"A"})) == pairs(cols) == [(0.5, 0.25), (0.5, 0.75)]
     with pytest.raises(ValueError):
         d.attributes["A"][0] = "b"
+
+
+@pytest.mark.parametrize("columns", [{"A": ["x", "y", "x"]}, {"A": encoded(["x", "y"], [0, 1, 0])}])
+def test_changing_the_attributes_dict_changes_no_column(columns):
+    """Each access to `attributes` gives a new dict, so setting or deleting
+    an entry leaves the Dataset's columns, groupings and names as they were."""
+    d = Dataset([1, 2, 3], columns)
+    d.attributes["A"] = np.array(["y"] * 3, dtype=object)
+    assert d.attributes["A"].tolist() == ["x", "y", "x"]
+    assert len(grouped_columns(d, ["A"])) == 2
+    del d.attributes["A"]
+    assert list(d.attributes) == list(d.attribute_names) == ["A"]
 
 
 def test_labels_differing_by_trailing_nul_are_distinct():

@@ -14,7 +14,6 @@ from ineqlab import (
     OrderRelation,
     WeightedColumns,
     Zonogon,
-    bottom,
     canonical_chain,
     cumulative,
     decompose,
@@ -41,7 +40,7 @@ def test_canonical_chain_two_points():
 
 
 def test_canonical_chain_bottom():
-    z = canonical_chain(bottom())
+    z = canonical_chain(WeightedColumns([1.0], [1.0]))
     np.testing.assert_allclose(z.vertices, [[0, 0], [1, 1]])
     assert len(z.vertices) == 2
 
@@ -74,7 +73,7 @@ def test_canonical_chain_against_hull_oracle(rng):
 
 
 def test_order_bottom_below_everything(rng):
-    zb = canonical_chain(bottom())
+    zb = canonical_chain(WeightedColumns([1.0], [1.0]))
     for _ in range(20):
         z = canonical_chain(population_matrix(random_dataset(rng)))
         assert order(zb, z) in (OrderRelation.EQUAL, OrderRelation.STRICTLY_BELOW)
@@ -126,7 +125,7 @@ def test_order_is_partial_order(rng):
 
 
 def test_meet_idempotent_and_bottom(rng):
-    zb = canonical_chain(bottom())
+    zb = canonical_chain(WeightedColumns([1.0], [1.0]))
     z = chain_of([1, 3, 7])
     assert order(meet(z, z), z) is OrderRelation.EQUAL
     assert order(meet(z, zb), zb) is OrderRelation.EQUAL
@@ -290,7 +289,7 @@ def test_meet_piece_over_a_pruned_corner_keeps_its_share():
 
 def test_minkowski_single_and_bottom():
     z = chain_of([1, 3])
-    zb = canonical_chain(bottom())
+    zb = canonical_chain(WeightedColumns([1.0], [1.0]))
     assert order(minkowski_sum([z]), z) is OrderRelation.EQUAL
     assert len(minkowski_sum([zb, zb]).vertices) == 2
     with pytest.raises(ValueError, match="at least one zonogon"):
@@ -298,7 +297,7 @@ def test_minkowski_single_and_bottom():
 
 
 def test_minkowski_hand_example():
-    m = minkowski_sum([chain_of([1, 3]), canonical_chain(bottom())])
+    m = minkowski_sum([chain_of([1, 3]), canonical_chain(WeightedColumns([1.0], [1.0]))])
     np.testing.assert_allclose(
         m.vertices, [[0, 0], [0.25, 0.375], [0.75, 0.875], [1, 1]], atol=1e-12
     )
